@@ -12,17 +12,14 @@
 //
 // `--jobs N` runs every campaign through the parallel engine with N workers
 // (0 = hardware concurrency; default 1); the closing blocks time the
-// default random-system campaign serial vs parallel, the Figure-1 campaign
-// with the replay cache on vs off (asserting entries are byte-identical
-// before reporting speedup / simulated-step reduction; writes
-// BENCH_replay.json), and the unreliable-lab comparison — the same
-// Figure-1 campaign clean vs 5%-flaky with retries, checking verdict
-// agreement, determinism across thread counts, and crash isolation.
-// `--quick` runs only the Figure-1 campaigns and the closing blocks on a
-// capped fault list — the CI smoke configuration.
-#include <algorithm>
+// default random-system campaign serial vs parallel (asserting entries are
+// byte-identical across thread counts) and run the unreliable-lab
+// comparison — the same Figure-1 campaign clean vs 5%-flaky with retries,
+// checking verdict agreement, determinism across thread counts, and crash
+// isolation.  `--quick` runs only the Figure-1 campaigns and the
+// unreliable-lab block on a capped fault list — the CI smoke
+// configuration.  Per-layer cost numbers live in perfbench/.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -87,351 +84,6 @@ double time_campaign(campaign_engine& engine) {
 }
 
 }  // namespace
-
-/// Figure-1 campaign with the replay cache on vs off: entries must be
-/// byte-identical; the payoff is the simulated-step reduction.  Returns
-/// false on a mismatch.  Writes the measurements to BENCH_replay.json.
-bool replay_cache_block(const cfsmdiag::system& spec,
-                        const test_suite& suite,
-                        std::vector<single_transition_fault> faults,
-                        const campaign_options& base) {
-    campaign_options cached = base;
-    campaign_options uncached = base;
-    uncached.diag.use_replay_cache = false;
-
-    campaign_engine cached_engine(spec, suite, faults, cached);
-    campaign_engine uncached_engine(spec, suite, faults, uncached);
-    const double cached_s = time_campaign(cached_engine);
-    const double uncached_s = time_campaign(uncached_engine);
-
-    const bool identical =
-        cached_engine.stats().entries == uncached_engine.stats().entries;
-    const auto cached_steps = cached_engine.metrics().simulated_steps;
-    const auto uncached_steps = uncached_engine.metrics().simulated_steps;
-    const double step_ratio =
-        cached_steps == 0 ? 0.0
-                          : static_cast<double>(uncached_steps) /
-                                static_cast<double>(cached_steps);
-
-    text_table t({"config", "faults", "replays", "simulated steps",
-                  "case skips", "suffix replays", "wall (s)"});
-    auto row = [&](const char* name, const campaign_engine& e, double secs) {
-        t.add_row({name, std::to_string(e.stats().total),
-                   std::to_string(e.metrics().replays),
-                   std::to_string(e.metrics().simulated_steps),
-                   std::to_string(e.metrics().cache_case_skips),
-                   std::to_string(e.metrics().cache_suffix_replays),
-                   fmt_double(secs, 3)});
-    };
-    row("cache on (default)", cached_engine, cached_s);
-    row("cache off", uncached_engine, uncached_s);
-    std::cout << t << "simulated-step reduction: " << fmt_double(step_ratio, 2)
-              << "x  (wall-clock: "
-              << fmt_double(uncached_s / std::max(cached_s, 1e-9), 2)
-              << "x)\n"
-              << "entries byte-identical cache on/off: "
-              << (identical ? "yes" : "NO — SOUNDNESS BUG") << "\n";
-
-    json_value root = json_value::object();
-    root.set("system", json_value::string(spec.name()));
-    root.set("faults", json_value::number(faults.size()));
-    root.set("replays", json_value::number(cached_engine.metrics().replays));
-    root.set("simulated_steps_cached", json_value::number(cached_steps));
-    root.set("simulated_steps_uncached",
-             json_value::number(uncached_steps));
-    root.set("step_reduction", json_value::number(step_ratio));
-    root.set("cache_case_skips",
-             json_value::number(cached_engine.metrics().cache_case_skips));
-    root.set("cache_suffix_replays",
-             json_value::number(
-                 cached_engine.metrics().cache_suffix_replays));
-    root.set("wall_cached_s", json_value::number(cached_s));
-    root.set("wall_uncached_s", json_value::number(uncached_s));
-    root.set("entries_identical", json_value::boolean(identical));
-    std::ofstream jout("BENCH_replay.json");
-    jout << root.dump(true) << "\n";
-
-    return identical;
-}
-
-/// Compiled flat core vs the reference pipeline on the Figure-1 campaign:
-/// entries must be byte-identical in every configuration — {compiled,
-/// reference} × {replay cache on, off} × {--jobs 1, --jobs N} — and the
-/// payoff is wall-clock (best of 3 runs per side, one shared spec_context
-/// per engine exactly as a service deployment would hold it).  Writes the
-/// measurements (including the per-stage wall split) to
-/// BENCH_flatcore.json.  Returns false on any identity mismatch.
-bool flat_core_block(const cfsmdiag::system& spec, const test_suite& suite,
-                     std::vector<single_transition_fault> faults,
-                     const campaign_options& base) {
-    auto opts_of = [&](bool compiled, bool cache, std::size_t jobs) {
-        campaign_options o = base;
-        o.diag.use_compiled_core = compiled;
-        o.diag.use_replay_cache = cache;
-        // Pin Step 6 to the reference joint search: this block benchmarks
-        // the Steps 4-5C flat core, and its wall_discrimination_s is the
-        // baseline the discrimination block measures itself against.
-        o.diag.use_flat_discrimination = false;
-        o.jobs = jobs;
-        return o;
-    };
-    const std::size_t par = base.jobs > 1 ? base.jobs : 4;
-
-    // One compiled context shared by every engine below.
-    const spec_context ctx(spec, suite);
-
-    campaign_engine flat_engine(ctx, faults, opts_of(true, true, 1));
-    campaign_engine ref_engine(ctx, faults, opts_of(false, true, 1));
-    double flat_s = 1e100;
-    double ref_s = 1e100;
-    for (int k = 0; k < 3; ++k) {
-        flat_s = std::min(flat_s, time_campaign(flat_engine));
-        ref_s = std::min(ref_s, time_campaign(ref_engine));
-    }
-    const auto& baseline = flat_engine.stats().entries;
-
-    bool identical = baseline == ref_engine.stats().entries;
-    for (const bool compiled : {true, false}) {
-        for (const bool cache : {true, false}) {
-            for (const std::size_t jobs : {std::size_t{1}, par}) {
-                if (cache && jobs == 1) continue;  // timed above
-                campaign_engine e(ctx, faults,
-                                  opts_of(compiled, cache, jobs));
-                (void)e.run();
-                if (!(e.stats().entries == baseline)) {
-                    identical = false;
-                    std::cout << "MISMATCH: compiled=" << compiled
-                              << " cache=" << cache << " jobs=" << jobs
-                              << "\n";
-                }
-            }
-        }
-    }
-
-    const double speedup = flat_s <= 0 ? 0.0 : ref_s / flat_s;
-    const auto& stage = flat_engine.metrics().stage;
-    text_table t({"config", "faults", "replays", "simulated steps",
-                  "wall (s)", "speedup"});
-    auto row = [&](const char* name, const campaign_engine& e, double secs,
-                   double ref) {
-        t.add_row({name, std::to_string(e.stats().total),
-                   std::to_string(e.metrics().replays),
-                   std::to_string(e.metrics().simulated_steps),
-                   fmt_double(secs, 3),
-                   fmt_double(ref / std::max(secs, 1e-9), 2) + "x"});
-    };
-    row("reference (sets + simulator)", ref_engine, ref_s, ref_s);
-    row("compiled flat core (default)", flat_engine, flat_s, ref_s);
-    std::cout << t << "entries byte-identical across compiled/reference x "
-                 "cache on/off x jobs 1/N: "
-              << (identical ? "yes" : "NO — SOUNDNESS BUG") << "\n"
-              << "stage wall split (compiled, s): symptoms "
-              << fmt_double(stage.symptoms, 4) << ", conflicts "
-              << fmt_double(stage.conflicts, 4) << ", candidates "
-              << fmt_double(stage.candidates, 4) << ", evaluation "
-              << fmt_double(stage.evaluation, 4) << ", discrimination "
-              << fmt_double(stage.discrimination, 4) << "\n";
-
-    json_value root = json_value::object();
-    root.set("system", json_value::string(spec.name()));
-    root.set("faults", json_value::number(faults.size()));
-    root.set("replays", json_value::number(flat_engine.metrics().replays));
-    root.set("simulated_steps_flat",
-             json_value::number(flat_engine.metrics().simulated_steps));
-    root.set("simulated_steps_reference",
-             json_value::number(ref_engine.metrics().simulated_steps));
-    root.set("wall_flat_s", json_value::number(flat_s));
-    root.set("wall_reference_s", json_value::number(ref_s));
-    root.set("speedup_vs_reference", json_value::number(speedup));
-    root.set("wall_symptoms_s", json_value::number(stage.symptoms));
-    root.set("wall_conflicts_s", json_value::number(stage.conflicts));
-    root.set("wall_candidates_s", json_value::number(stage.candidates));
-    root.set("wall_evaluation_s", json_value::number(stage.evaluation));
-    root.set("wall_discrimination_s",
-             json_value::number(stage.discrimination));
-    root.set("entries_identical", json_value::boolean(identical));
-    std::ofstream jout("BENCH_flatcore.json");
-    jout << root.dump(true) << "\n";
-
-    return identical;
-}
-
-/// Flat discrimination engine vs the reference joint search, on the
-/// Figure-1 campaign and a small random-system corpus: entries must be
-/// byte-identical in every configuration — {flat, reference} × {memo on,
-/// off} × {--jobs 1, N} — and the payoff is the discrimination-stage wall
-/// clock (best of 3 runs per side over one shared spec_context, so the
-/// engine's tables and memo amortize as they would in a long-lived
-/// service).  Two timing pairs: default options (comparable to the
-/// committed BENCH_flatcore.json wall_discrimination_s baseline) and
-/// fallback-search-only (`structured_step6 = false`), which routes every
-/// discrimination through `splitting_sequence` and isolates the joint
-/// search itself.  Writes the measurements and the engine counters to
-/// BENCH_discrim.json.  Returns false on any identity mismatch or if the
-/// engine fails to reduce aggregate corpus discrimination wall time.
-bool discrimination_block(const cfsmdiag::system& spec,
-                          const test_suite& suite,
-                          std::vector<single_transition_fault> faults,
-                          const campaign_options& base) {
-    auto opts_of = [&](bool flat, bool memo, std::size_t jobs) {
-        campaign_options o = base;
-        o.diag.use_flat_discrimination = flat;
-        o.diag.use_discrim_memo = memo;
-        o.jobs = jobs;
-        return o;
-    };
-    // Second timing pair: force every discrimination through the joint
-    // search (structured Step 6 answers most Figure-1 cases without one,
-    // which leaves the compiled path nearly idle at default options).
-    auto search_opts = [&](bool flat, bool memo, std::size_t jobs) {
-        campaign_options o = opts_of(flat, memo, jobs);
-        o.diag.structured_step6 = false;
-        return o;
-    };
-    const std::size_t par = base.jobs > 1 ? base.jobs : 4;
-
-    // One shared context — the engine's pairwise tables and memo amortize
-    // across every run, exactly as a long-lived service would hold them.
-    const spec_context ctx(spec, suite);
-
-    // Best-of-3 discrimination-stage wall for one A/B pair of campaigns.
-    auto time_pair = [&](campaign_engine& a, campaign_engine& b) {
-        std::pair<double, double> best{1e100, 1e100};
-        for (int k = 0; k < 3; ++k) {
-            (void)a.run();
-            best.first =
-                std::min(best.first, a.metrics().stage.discrimination);
-            (void)b.run();
-            best.second =
-                std::min(best.second, b.metrics().stage.discrimination);
-        }
-        return best;
-    };
-
-    campaign_engine flat_engine(ctx, faults, opts_of(true, true, 1));
-    campaign_engine ref_engine(ctx, faults, opts_of(false, false, 1));
-    const auto [flat_s, ref_s] = time_pair(flat_engine, ref_engine);
-
-    campaign_engine sflat_engine(ctx, faults, search_opts(true, true, 1));
-    campaign_engine sref_engine(ctx, faults, search_opts(false, false, 1));
-    const auto [sflat_s, sref_s] = time_pair(sflat_engine, sref_engine);
-
-    bool identical =
-        flat_engine.stats().entries == ref_engine.stats().entries &&
-        sflat_engine.stats().entries == sref_engine.stats().entries;
-
-    // Default-options sweep across every engine configuration.
-    std::vector<campaign_entry> baseline;
-    for (const bool flat : {true, false}) {
-        for (const bool memo : {true, false}) {
-            for (const std::size_t jobs : {std::size_t{1}, par}) {
-                campaign_engine e(ctx, faults, opts_of(flat, memo, jobs));
-                (void)e.run();
-                if (baseline.empty()) baseline = e.stats().entries;
-                if (!(e.stats().entries == baseline)) {
-                    identical = false;
-                    std::cout << "MISMATCH: flat=" << flat
-                              << " memo=" << memo << " jobs=" << jobs
-                              << "\n";
-                }
-            }
-        }
-    }
-
-    const auto& m = sflat_engine.metrics();
-    const double speedup = flat_s <= 0 ? 0.0 : ref_s / flat_s;
-    const double search_speedup = sflat_s <= 0 ? 0.0 : sref_s / sflat_s;
-    text_table t({"config", "faults", "discrimination wall (s)",
-                  "speedup"});
-    t.add_row({"reference joint search", std::to_string(faults.size()),
-               fmt_double(ref_s, 5), "1.00x"});
-    t.add_row({"flat engine (default)", std::to_string(faults.size()),
-               fmt_double(flat_s, 5), fmt_double(speedup, 2) + "x"});
-    t.add_row({"reference, fallback search only",
-               std::to_string(faults.size()), fmt_double(sref_s, 5),
-               "1.00x"});
-    t.add_row({"flat engine, fallback search only",
-               std::to_string(faults.size()), fmt_double(sflat_s, 5),
-               fmt_double(search_speedup, 2) + "x"});
-    std::cout << t << "entries byte-identical across flat/reference x memo "
-                 "on/off x jobs 1/N: "
-              << (identical ? "yes" : "NO — SOUNDNESS BUG") << "\n"
-              << "engine counters (flat search-only, last run): "
-              << m.discrim_joint_states << " joint states, "
-              << m.discrim_bfs_searches << " BFS runs, "
-              << m.discrim_table_answers << " table answers, "
-              << m.discrim_memo_hits << " memo hits / "
-              << m.discrim_memo_misses << " misses\n";
-
-    // Random-system corpus: the engine must help beyond the paper example.
-    // Aggregate wall across seeds is the criterion (per-seed walls on these
-    // small systems sit in noise territory on a loaded machine).
-    json_value corpus = json_value::array();
-    double corpus_flat_s = 0.0;
-    double corpus_ref_s = 0.0;
-    for (std::uint64_t seed = 101; seed <= 103; ++seed) {
-        rng r(seed);
-        random_system_options gen;
-        gen.machines = 3;
-        gen.states_per_machine = 3;
-        gen.extra_transitions = 6;
-        const cfsmdiag::system rnd = random_system(gen, r);
-        const test_suite rnd_suite = transition_tour(rnd).suite;
-        auto rnd_faults = enumerate_all_faults(rnd);
-        if (rnd_faults.size() > 80) rnd_faults.resize(80);
-        const spec_context rnd_ctx(rnd, rnd_suite);
-        campaign_engine f(rnd_ctx, rnd_faults, search_opts(true, true, 1));
-        campaign_engine rf(rnd_ctx, rnd_faults, search_opts(false, false, 1));
-        const auto [fs, rs] = time_pair(f, rf);
-        const bool same = f.stats().entries == rf.stats().entries;
-        identical = identical && same;
-        corpus_flat_s += fs;
-        corpus_ref_s += rs;
-        std::cout << "random seed " << seed << ": reference "
-                  << fmt_double(rs, 5) << "s, flat " << fmt_double(fs, 5)
-                  << "s (" << fmt_double(rs / std::max(fs, 1e-9), 2)
-                  << "x), identical: " << (same ? "yes" : "NO") << "\n";
-        json_value row = json_value::object();
-        row.set("seed", json_value::number(seed));
-        row.set("wall_discrimination_s", json_value::number(fs));
-        row.set("wall_discrimination_reference_s", json_value::number(rs));
-        row.set("entries_identical", json_value::boolean(same));
-        corpus.push(std::move(row));
-    }
-    const bool corpus_reduced = corpus_flat_s < corpus_ref_s;
-    std::cout << "random corpus aggregate: reference "
-              << fmt_double(corpus_ref_s, 5) << "s, flat "
-              << fmt_double(corpus_flat_s, 5) << "s ("
-              << fmt_double(corpus_ref_s / std::max(corpus_flat_s, 1e-9), 2)
-              << "x)\n";
-
-    json_value root = json_value::object();
-    root.set("system", json_value::string(spec.name()));
-    root.set("faults", json_value::number(faults.size()));
-    root.set("wall_discrimination_s", json_value::number(flat_s));
-    root.set("wall_discrimination_reference_s", json_value::number(ref_s));
-    root.set("discrimination_speedup", json_value::number(speedup));
-    root.set("wall_search_only_s", json_value::number(sflat_s));
-    root.set("wall_search_only_reference_s", json_value::number(sref_s));
-    root.set("search_only_speedup", json_value::number(search_speedup));
-    root.set("discrim_joint_states",
-             json_value::number(m.discrim_joint_states));
-    root.set("discrim_bfs_searches",
-             json_value::number(m.discrim_bfs_searches));
-    root.set("discrim_table_answers",
-             json_value::number(m.discrim_table_answers));
-    root.set("discrim_memo_hits", json_value::number(m.discrim_memo_hits));
-    root.set("discrim_memo_misses",
-             json_value::number(m.discrim_memo_misses));
-    root.set("random_corpus", std::move(corpus));
-    root.set("corpus_discrimination_reduced",
-             json_value::boolean(corpus_reduced));
-    root.set("entries_identical", json_value::boolean(identical));
-    std::ofstream jout("BENCH_discrim.json");
-    jout << root.dump(true) << "\n";
-
-    return identical && corpus_reduced;
-}
 
 /// Unreliable-lab block: the same Figure-1 campaign clean vs flaky
 /// (5% injection, 3 retries).  Reports verdict agreement, the reliability
@@ -532,24 +184,13 @@ int main(int argc, char** argv) {
               base);
 
     if (quick) {
-        std::cout << "\n=== engine: replay cache on vs off (Figure-1 "
-                     "system, capped faults) ===\n";
-        auto faults = enumerate_all_faults(ex.spec);
-        if (faults.size() > 60) faults.resize(60);
-        bool ok = replay_cache_block(ex.spec, ex_suite, faults, base);
-        std::cout << "\n=== engine: compiled flat core vs reference "
-                     "(Figure-1 system, capped faults) ===\n";
-        ok = flat_core_block(ex.spec, ex_suite, faults, base) && ok;
-        std::cout << "\n=== engine: flat discrimination vs reference "
-                     "joint search (Figure-1 + random corpus) ===\n";
-        ok = discrimination_block(ex.spec, ex_suite, faults, base) && ok;
         std::cout << "\n=== engine: unreliable lab, clean vs flaky "
                      "(Figure-1 system, capped faults) ===\n";
-        auto few = std::move(faults);
+        auto few = enumerate_all_faults(ex.spec);
         if (few.size() > 24) few.resize(24);
-        ok = unreliable_lab_block(ex.spec, ex_suite, std::move(few), base) &&
-             ok;
-        return ok ? 0 : 1;
+        return unreliable_lab_block(ex.spec, ex_suite, std::move(few), base)
+                   ? 0
+                   : 1;
     }
 
     std::cout << "\n=== campaign C: random 3x4 system, tour + random walks "
@@ -732,24 +373,6 @@ int main(int argc, char** argv) {
                   << (identical ? "yes" : "NO — DETERMINISM BUG") << "\n";
         if (!identical) return 1;
     }
-
-    std::cout << "\n=== engine: replay cache on vs off (Figure-1 system, "
-                 "full single+double fault universe) ===\n";
-    if (!replay_cache_block(ex.spec, ex_suite,
-                            enumerate_all_faults(ex.spec), base))
-        return 1;
-
-    std::cout << "\n=== engine: compiled flat core vs reference (Figure-1 "
-                 "system, full single+double fault universe) ===\n";
-    if (!flat_core_block(ex.spec, ex_suite, enumerate_all_faults(ex.spec),
-                         base))
-        return 1;
-
-    std::cout << "\n=== engine: flat discrimination vs reference joint "
-                 "search (Figure-1 full universe + random corpus) ===\n";
-    if (!discrimination_block(ex.spec, ex_suite, enumerate_all_faults(ex.spec),
-                              base))
-        return 1;
 
     std::cout << "\n=== engine: unreliable lab, clean vs flaky (Figure-1 "
                  "system, capped faults) ===\n";

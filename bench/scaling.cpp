@@ -100,8 +100,7 @@ void bm_flat_core(benchmark::State& state) {
     simulated_iut iut(spec, fault);
     const spec_context ctx(spec, suite);
     const auto report = collect_symptoms(spec, suite, iut, &ctx.traces());
-    flat_replayer replayer(ctx.compiled(), spec, report,
-                           /*prefix_skip=*/true);
+    flat_replayer replayer(ctx.compiled(), spec, report);
     const transition_override ov = fault.to_override();
     for (auto _ : state) {
         benchmark::DoNotOptimize(replayer.consistent(ov));

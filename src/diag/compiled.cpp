@@ -355,11 +355,8 @@ candidate_sets materialize_candidate_sets(const compiled_spec& cs,
 }
 
 flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
-                             const symptom_report& report, bool prefix_skip)
-    : cs_(&cs),
-      spec_(&spec),
-      report_(&report),
-      prefix_skip_(prefix_skip) {
+                             const symptom_report& report)
+    : cs_(&cs), spec_(&spec) {
     detail::require(cs.packable,
                     "flat_replayer: system states exceed 64 packed bits");
     detail::require(report.runs.size() == cs.cases.size(),
@@ -392,18 +389,6 @@ std::uint64_t flat_replayer::step(std::uint64_t& state, std::uint32_t port,
                                   std::uint32_t sym,
                                   const flat_override& ov) const {
     return flat_step(*cs_, *spec_, state, port, sym, &ov, 1);
-}
-
-bool flat_replayer::full_replay(std::size_t ci,
-                                const flat_override& ov) const {
-    const compiled_spec::case_tables& ct = cs_->cases[ci];
-    const case_obs& co = cases_[ci];
-    std::uint64_t state = cs_->initial_packed;
-    for (std::size_t k = 0; k < ct.in_port.size(); ++k) {
-        if (step(state, ct.in_port[k], ct.in_sym[k], ov) != co.observed[k])
-            return false;
-    }
-    return true;
 }
 
 bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
@@ -470,10 +455,6 @@ bool flat_replayer::consistent(const transition_override& ov) {
         // Quarantined runs neither support nor refute (mirrors
         // hypothesis_consistent's paths).
         if (cases_[ci].quarantined) continue;
-        if (!prefix_skip_) {
-            if (!full_replay(ci, f)) return false;
-            continue;
-        }
         const compiled_spec::case_tables& ct = cs_->cases[ci];
         const std::uint32_t ff = ct.first_fire[f.target];
         if (ff == invalid_index) {

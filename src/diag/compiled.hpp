@@ -2,10 +2,10 @@
 // integer-indexed tables, built once per spec_context and queried by every
 // per-fault diagnosis.
 //
-// Motivation (BENCH_replay.json): after the replay cache, the pipeline is
-// overhead-bound — std::set churn in Steps 4/5A, per-replay simulator
-// construction, per-diagnosis firing-index rebuilds, and per-candidate
-// alphabet recomputation dominate wall time.  Everything in this header is
+// Motivation: after the replay cache, the pipeline was overhead-bound —
+// std::set churn in Steps 4/5A, per-replay simulator construction,
+// per-diagnosis firing-index rebuilds, and per-candidate alphabet
+// recomputation dominated wall time.  Everything in this header is
 // a pure function of (spec, suite), so the campaign engine computes it
 // exactly once:
 //   - a dense transition universe (machine_offset[m] + local id), with the
@@ -19,8 +19,8 @@
 //     lists (the conflict-set bitmaps' raw material),
 //   - a u64 state packing (bits per machine) that turns system_state
 //     comparisons into integer compares.  Systems whose states exceed 64
-//     bits set `packable = false` and diagnosis falls back to the
-//     reference path.
+//     bits set `packable = false` and diagnosis runs the reference Steps
+//     4-5C with a replay_cache instead.
 //
 // `compile_conflicts`/`materialize_*` are the bitset Steps 4-5A: conflict
 // sets become bitmaps over the dense universe, ITC is their AND, and the
@@ -179,18 +179,16 @@ struct compiled_conflicts {
     const compiled_conflicts& cc);
 
 /// Compiled hypothesis replayer for one symptom report: same verdicts as
-/// hypothesis_consistent(spec, suite, report, ov), over packed states.
-///
-/// `prefix_skip` mirrors diagnoser_options::use_replay_cache: when true the
-/// replay uses the prefix lemma + re-synchronization (and bumps the replay
-/// cache's case-skip/suffix counters); when false every case replays from
-/// reset — the A/B configuration of `campaign --no-replay-cache`.
+/// the uncached hypothesis_consistent(spec, suite, report, ov), over packed
+/// states.  Each case is resolved by replay_cache's prefix lemma +
+/// re-synchronization (bumping its case-skip/suffix counters), never
+/// replayed from reset.
 ///
 /// Not thread-safe (owns scratch buffers); build one per diagnosis.
 class flat_replayer {
   public:
     flat_replayer(const compiled_spec& cs, const system& spec,
-                  const symptom_report& report, bool prefix_skip);
+                  const symptom_report& report);
 
     [[nodiscard]] bool consistent(const transition_override& ov);
 
@@ -209,13 +207,9 @@ class flat_replayer {
                        std::uint32_t sym, const flat_override& ov) const;
     [[nodiscard]] bool suffix_consistent(std::size_t ci, std::uint32_t f,
                                          const flat_override& ov);
-    [[nodiscard]] bool full_replay(std::size_t ci, const flat_override& ov)
-        const;
 
     const compiled_spec* cs_;
     const system* spec_;  ///< error labels only
-    const symptom_report* report_;
-    bool prefix_skip_;
     std::vector<case_obs> cases_;
     /// Epoch-tagged suffix memo, indexed by class representative step.
     std::vector<std::uint32_t> memo_epoch_;

@@ -103,7 +103,7 @@ void finalize_reliability(diagnosis_result& result, const oracle& iut) {
 }
 
 /// The step quota the degradation ladder grants its cheaper rung: enough
-/// governed steps for a tightly capped reference Step 6 to finish on any
+/// governed steps for a tightly capped Step 6 to finish on any
 /// realistic live set, small enough that a pathological rung still stops.
 constexpr std::uint64_t rung_grace_steps = 100'000;
 
@@ -143,8 +143,8 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     const test_suite& suite = ctx.suite();
     const compiled_spec& cs = ctx.compiled();
     // The compiled core requires the packed-state representation; wider
-    // systems transparently run the reference path.
-    const bool flat = options.use_compiled_core && cs.packable;
+    // systems run the reference Steps 4-5C.
+    const bool flat = cs.packable;
 
     diagnosis_result result;
     auto mark = std::chrono::steady_clock::now();
@@ -193,19 +193,17 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     std::optional<flat_replayer> flat_rep;
     std::optional<replay_cache> cache;
     if (flat) {
-        flat_rep.emplace(cs, spec, result.symptoms,
-                         options.use_replay_cache);
-    } else if (options.use_replay_cache) {
+        flat_rep.emplace(cs, spec, result.symptoms);
+    } else {
         cache.emplace(ctx.make_replay_cache(result.symptoms));
     }
-    const replay_cache* cache_ptr = cache ? &*cache : nullptr;
     const auto evaluate_routed = [&] {
         if (flat) {
             return evaluate_candidates(cs, *flat_rep, result.symptoms,
                                        result.candidates);
         }
         return evaluate_candidates(spec, suite, result.symptoms,
-                                   result.candidates, cache_ptr);
+                                   result.candidates, &*cache);
     };
     const auto evaluate_full = [&] {
         if (flat) {
@@ -215,7 +213,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         }
         return evaluate_candidates_escalated(
             spec, suite, result.symptoms, result.candidates,
-            options.include_addressing_faults, cache_ptr);
+            options.include_addressing_faults, &*cache);
     };
     if (options.evaluation == evaluation_mode::complete) {
         result.evaluated = evaluate_full();
@@ -240,19 +238,20 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         return result;
     }
 
-    // Step 6: adaptive discrimination, governed by the degradation ladder.
-    // `use_flat` and `joint_cap` start as configured (rung 0); a budget
-    // exhaustion mid-loop drops to rung 1 (reference search, tighter cap,
+    // Step 6: adaptive discrimination through the context's engine,
+    // governed by the degradation ladder.  `joint_cap` starts as configured
+    // (rung 0); a budget exhaustion mid-loop drops to rung 1 (tighter cap,
     // a fresh step-quota grace so the rung itself stays bounded), a second
     // exhaustion to rung 2 (skip discrimination entirely).  Hypotheses are
     // only ever *removed* by genuine refutation, so every rung's live set
     // still contains the truth — a stop widens the verdict, never flips it.
-    hypothesis_tracker tracker(spec, result.initial_diagnoses,
-                               options.use_replay_cache);
-    bool use_flat = options.use_flat_discrimination;
+    const auto make_tracker = [&](std::vector<diagnosis> live) {
+        hypothesis_tracker t(spec, std::move(live));
+        t.use_engine(&ctx.discrim());
+        return t;
+    };
+    hypothesis_tracker tracker = make_tracker(result.initial_diagnoses);
     std::size_t joint_cap = options.max_joint_states;
-    if (use_flat)
-        tracker.use_engine(&ctx.discrim(), options.use_discrim_memo);
     bool unreliable_tests = false;
     bool resource_stopped = false;
     int rung = 0;
@@ -268,10 +267,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
             // replay the evidence gathered so far.
             result.used_escalation = true;
             result.evaluated = evaluate_full();
-            tracker = hypothesis_tracker(spec, result.evaluated.diagnoses(),
-                                         options.use_replay_cache);
-            if (use_flat)
-                tracker.use_engine(&ctx.discrim(), options.use_discrim_memo);
+            tracker = make_tracker(result.evaluated.diagnoses());
             for (const auto& rec : result.additional_tests) {
                 if (rec.quarantined) continue;
                 (void)tracker.apply_result(rec.tc.inputs, rec.observed);
@@ -280,19 +276,11 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         if (tracker.count() <= 1) break;
         bool progressed = false;
         if (options.structured_step6) {
-            // With the engine on, the derivation comes from its
-            // campaign-wide cache (identical proposals, computed once per
-            // distinct live set).
-            std::shared_ptr<const std::vector<proposed_test>> cached;
-            std::vector<proposed_test> local;
-            if (use_flat)
-                cached = ctx.discrim().structured_proposals(tracker,
-                                                            options.step6);
-            else
-                local = propose_structured_tests(spec, tracker,
-                                                 options.step6);
-            const auto& proposals = cached ? *cached : local;
-            for (const auto& p : proposals) {
+            // The derivation comes from the engine's campaign-wide cache
+            // (identical proposals, computed once per distinct live set).
+            const auto proposals =
+                ctx.discrim().structured_proposals(tracker, options.step6);
+            for (const auto& p : *proposals) {
                 if (tracker.count() <= 1) break;
                 if (!tracker.splits(p.tc.inputs)) continue;
                 if (!apply_test(spec, iut, tracker, result, p.tc, p.purpose,
@@ -324,18 +312,14 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
       } catch (const resource_exhausted&) {
         resource_stopped = true;
         if (++rung > 1) break;  // rung 2: report the undiscriminated set
-        // Rung 1: the configured search starved.  Rebuild the tracker from
-        // the current survivors (a superset of the fully filtered set —
-        // refutation may have been interrupted mid-test, which only keeps
-        // extra hypotheses alive) on the reference path with a tight cap,
-        // and run it under a cancel-only view of the exhausted budget plus
-        // a fresh step-quota grace: the parent budget would re-throw on the
+        // Rung 1: the configured search starved.  Continue from the current
+        // survivors (a superset of the fully filtered set: only genuine
+        // refutation ever removed a hypothesis) on the same engine with a
+        // tight cap, under a cancel-only view of the exhausted budget plus a
+        // fresh step-quota grace: the parent budget would re-throw on the
         // first poll, but external cancellation must still cut through and
         // a pathological rung must still terminate.
-        use_flat = false;
         joint_cap = std::min(joint_cap, rung_joint_cap);
-        tracker = hypothesis_tracker(spec, tracker.alive(),
-                                     options.use_replay_cache);
         const run_budget* exhausted = detail::current_budget();
         rung_budget = exhausted ? exhausted->cancel_only() : run_budget{};
         rung_budget.with_step_quota(rung_grace_steps);

@@ -174,31 +174,6 @@ struct diagnoser_options {
     /// Re-evaluate with the full hypothesis space if the flag-routed pass
     /// finds nothing (see diag/diagnosis.hpp).
     bool escalate_if_empty = true;
-    /// Route Step 5B/6 hypothesis replays through the replay cache
-    /// (diag/replay_cache.hpp): firing-index prefix skipping + snapshot
-    /// suffix simulation.  Results are byte-identical with the cache on or
-    /// off; off exists for A/B measurement (`campaign --no-replay-cache`).
-    /// With the compiled core this picks between the flat replayer's
-    /// prefix-skipping and full-replay modes — the same A/B axis.
-    bool use_replay_cache = true;
-    /// Run Steps 4-5C on the flat compiled core (diag/compiled.hpp):
-    /// bitset conflict/candidate algebra and the flat hypothesis replayer
-    /// over the spec_context's precompiled tables.  Results are
-    /// byte-identical to the reference structures; off exists for A/B
-    /// measurement (`campaign --no-compiled-core`) and as the automatic
-    /// fallback for systems whose packed state exceeds 64 bits.
-    bool use_compiled_core = true;
-    /// Route Step 6's joint splitting-sequence searches through the
-    /// spec_context's flat discrimination engine (diag/discrim_engine.hpp):
-    /// compiled joint BFS, pairwise splitting tables, cross-fault memo.
-    /// Results are byte-identical to the reference search; off exists for
-    /// A/B measurement (`campaign --no-flat-discrimination`).
-    bool use_flat_discrimination = true;
-    /// Share splitting-sequence results across faults through the engine's
-    /// memo (only effective with use_flat_discrimination).  Byte-identical
-    /// on or off and at any worker count; off exists for A/B measurement
-    /// (`campaign --no-discrim-memo`).
-    bool use_discrim_memo = true;
     std::size_t max_additional_tests = 200;
     /// Visited-state bound of each joint splitting-sequence search
     /// (`campaign --max-joint-states`).  A search that hits the bound
@@ -208,8 +183,8 @@ struct diagnoser_options {
     /// Optional resource budget governing this diagnosis.  Installed for
     /// the calling thread for the duration of diagnose(); the pipeline's
     /// deep loops poll it.  Exhaustion triggers the degradation ladder —
-    /// flat discrimination → reference Step 6 with a tighter joint-state
-    /// cap → skip discrimination and report `inconclusive_resource` — so
+    /// Step 6 as configured → Step 6 with a tighter joint-state cap → skip
+    /// discrimination and report `inconclusive_resource` — so
     /// the result is always a classified verdict.  External cancellation
     /// through the budget's cancel_token is *not* absorbed: it propagates
     /// as cancelled_error for the caller to classify.  Not owned; must
@@ -222,7 +197,10 @@ struct diagnoser_options {
 /// consulted once per suite case plus once per applied additional test.
 /// This is the primary entry point: the context's compiled tables and
 /// Step-1 traces are shared across every diagnosis (a campaign builds one
-/// context for all faults).
+/// context for all faults).  The input alone picks the path: Steps 4-5C run
+/// on the compiled core when the system's states pack into 64 bits
+/// (`ctx.compiled().packable`) and on the reference Steps with a
+/// replay_cache otherwise; Step 6 always runs through `ctx.discrim()`.
 [[nodiscard]] diagnosis_result diagnose(const spec_context& ctx, oracle& iut,
                                         const diagnoser_options& options = {});
 

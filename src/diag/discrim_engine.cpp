@@ -629,7 +629,7 @@ std::optional<std::vector<global_input>> discrim_engine::compute(
 
 std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     const std::vector<std::vector<transition_override>>& hypotheses,
-    std::size_t max_joint_states, bool use_memo) const {
+    std::size_t max_joint_states) const {
     if (hypotheses.size() < 2) return std::nullopt;
 
     // Canonicalize: lowered overrides + sorted hypothesis order.  The
@@ -654,8 +654,6 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
                   return a.enc < b.enc;
               });
 
-    if (!use_memo) return compute(hyps, hypotheses, max_joint_states);
-
     key_type key;
     key.push_back(static_cast<std::uint32_t>(max_joint_states));
     key.push_back(
@@ -669,11 +667,25 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
         ++g_counters.memo_hits;
-        return it->second;
+        detail::budget_charge(it->second.steps);
+        return it->second.sequence;
     }
     ++g_counters.memo_misses;
-    auto result = compute(hyps, hypotheses, max_joint_states);
-    shard.map.emplace(std::move(key), result);
+    // Count the search's polls on the installed budget, or on a limit-free
+    // meter when nothing governs this call, so every later hit can be
+    // charged them.  A search that starves throws and records nothing.
+    run_budget meter;
+    const run_budget* counting = detail::current_budget();
+    std::optional<budget_scope> metering;
+    if (!counting) {
+        metering.emplace(&meter);
+        counting = &meter;
+    }
+    const std::uint64_t before = counting->steps_used();
+    memo_value value{compute(hyps, hypotheses, max_joint_states), 0};
+    value.steps = counting->steps_used() - before;
+    auto result = value.sequence;
+    shard.map.emplace(std::move(key), std::move(value));
     return result;
 }
 
@@ -741,11 +753,11 @@ discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
 
 bool observationally_equivalent(const discrim_engine& engine,
                                 const diagnosis& a, const diagnosis& b,
-                                std::size_t max_states, bool use_memo) {
+                                std::size_t max_states) {
     if (a == b) return true;  // identical hypotheses
     return !engine
                 .splitting_sequence({{a.to_override()}, {b.to_override()}},
-                                    max_states, use_memo)
+                                    max_states)
                 .has_value();
 }
 

@@ -37,7 +37,9 @@
 //      visited cap.  Many mutants collapse to the same live-hypothesis
 //      signature, so one computed splitting sequence (or equivalence proof)
 //      serves the whole campaign; compute happens under the shard lock, so
-//      hit/miss totals are byte-identical at any --jobs.
+//      hit/miss totals are byte-identical at any --jobs.  A hit is charged
+//      the governed steps its computation took, so a step quota trips on a
+//      hit exactly where it would on a miss.
 //
 // Soundness of the shortcuts is argued in DESIGN.md §5f.  The engine is
 // owned by spec_context, immutable from the caller's view, and safe to
@@ -46,6 +48,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -97,11 +100,13 @@ class discrim_engine {
     /// Drop-in replacement for splitting_sequence(spec, hypotheses, max):
     /// byte-identical result (the BFS-canonical shortest splitting
     /// sequence, or nullopt when the hypotheses are observationally
-    /// equivalent within the cap).  `use_memo` shares results across calls
-    /// and threads through the sharded memo.
+    /// equivalent within the cap).  Results are shared across calls and
+    /// threads through the sharded memo; a hit charges the installed budget
+    /// the steps the search took, so governed runs see the same step counts
+    /// whatever the memo holds.
     [[nodiscard]] std::optional<std::vector<global_input>> splitting_sequence(
         const std::vector<std::vector<transition_override>>& hypotheses,
-        std::size_t max_joint_states, bool use_memo) const;
+        std::size_t max_joint_states) const;
 
     /// Campaign-wide spec replay of `inputs`: the sequence_replay the
     /// tracker's splits()/apply_result() would otherwise construct per
@@ -198,11 +203,15 @@ class discrim_engine {
 
     // --- sharded cross-fault memo (layer 3) -------------------------------
     static constexpr std::size_t memo_shards = 16;
+    struct memo_value {
+        std::optional<std::vector<global_input>> sequence;
+        /// Governed steps (budget polls) the computation took; every hit is
+        /// charged them, so a step quota trips where a miss would.
+        std::uint64_t steps = 0;
+    };
     struct memo_shard {
         std::mutex mutex;
-        std::unordered_map<key_type,
-                           std::optional<std::vector<global_input>>, key_hash>
-            map;
+        std::unordered_map<key_type, memo_value, key_hash> map;
     };
     mutable std::array<memo_shard, memo_shards> memo_;
 
@@ -221,11 +230,10 @@ class discrim_engine {
 
 /// Engine-backed observational equivalence: same verdict as
 /// observationally_equivalent(spec, a, b, max_states), shared through the
-/// engine's memo when `use_memo`.
+/// engine's memo.
 [[nodiscard]] bool observationally_equivalent(const discrim_engine& engine,
                                               const diagnosis& a,
                                               const diagnosis& b,
-                                              std::size_t max_states = 100'000,
-                                              bool use_memo = true);
+                                              std::size_t max_states = 100'000);
 
 }  // namespace cfsmdiag

@@ -61,42 +61,29 @@ struct joint_hash {
 }  // namespace
 
 hypothesis_tracker::hypothesis_tracker(const system& spec,
-                                       std::vector<diagnosis> initial,
-                                       bool accelerate)
-    : spec_(&spec), alive_(std::move(initial)), accelerate_(accelerate) {
+                                       std::vector<diagnosis> initial)
+    : spec_(&spec), alive_(std::move(initial)) {
     std::sort(alive_.begin(), alive_.end());
     alive_.erase(std::unique(alive_.begin(), alive_.end()), alive_.end());
 }
 
-std::vector<observation> hypothesis_tracker::predict(
-    std::size_t i, const std::vector<global_input>& inputs) const {
-    return observe(*spec_, inputs, alive_[i].to_override());
+std::shared_ptr<const sequence_replay> hypothesis_tracker::replay(
+    const std::vector<global_input>& inputs) const {
+    // The same proposals recur for every fault on the same suspect
+    // transition, so the engine's cache usually answers.
+    if (engine_ != nullptr) return engine_->replay_for(inputs);
+    return std::make_shared<const sequence_replay>(*spec_, inputs);
 }
 
 bool hypothesis_tracker::splits(
     const std::vector<global_input>& inputs) const {
     if (alive_.size() < 2) return false;
-    if (accelerate_) {
-        // One spec replay of `inputs`; each hypothesis then replays only
-        // from its first firing step.  With the engine attached, the spec
-        // replay comes from its campaign-wide cache (the same proposals
-        // recur for every fault on the same suspect transition).
-        std::shared_ptr<const sequence_replay> shared;
-        std::optional<sequence_replay> local;
-        if (engine_ != nullptr)
-            shared = engine_->replay_for(inputs);
-        else
-            local.emplace(*spec_, inputs);
-        const sequence_replay& rep = shared ? *shared : *local;
-        const auto first = rep.predict(alive_[0].to_override());
-        for (std::size_t i = 1; i < alive_.size(); ++i) {
-            if (!rep.matches(alive_[i].to_override(), first)) return true;
-        }
-        return false;
-    }
-    const auto first = predict(0, inputs);
+    // One spec replay of `inputs`; each hypothesis then replays only from
+    // its first firing step.
+    const auto rep = replay(inputs);
+    const auto first = rep->predict(alive_[0].to_override());
     for (std::size_t i = 1; i < alive_.size(); ++i) {
-        if (predict(i, inputs) != first) return true;
+        if (!rep->matches(alive_[i].to_override(), first)) return true;
     }
     return false;
 }
@@ -105,25 +92,11 @@ std::size_t hypothesis_tracker::apply_result(
     const std::vector<global_input>& inputs,
     const std::vector<observation>& observed) {
     const std::size_t before = alive_.size();
+    const auto rep = replay(inputs);
     std::vector<diagnosis> survivors;
     survivors.reserve(alive_.size());
-    if (accelerate_) {
-        std::shared_ptr<const sequence_replay> shared;
-        std::optional<sequence_replay> local;
-        if (engine_ != nullptr)
-            shared = engine_->replay_for(inputs);
-        else
-            local.emplace(*spec_, inputs);
-        const sequence_replay& rep = shared ? *shared : *local;
-        for (std::size_t i = 0; i < alive_.size(); ++i) {
-            if (rep.matches(alive_[i].to_override(), observed))
-                survivors.push_back(alive_[i]);
-        }
-    } else {
-        for (std::size_t i = 0; i < alive_.size(); ++i) {
-            if (predict(i, inputs) == observed)
-                survivors.push_back(alive_[i]);
-        }
+    for (const diagnosis& d : alive_) {
+        if (rep->matches(d.to_override(), observed)) survivors.push_back(d);
     }
     alive_ = std::move(survivors);
     return before - alive_.size();
@@ -136,7 +109,7 @@ hypothesis_tracker::find_splitting_sequence(
     hyps.reserve(alive_.size());
     for (const diagnosis& d : alive_) hyps.push_back({d.to_override()});
     if (engine_ != nullptr)
-        return engine_->splitting_sequence(hyps, max_joint_states, memoize_);
+        return engine_->splitting_sequence(hyps, max_joint_states);
     return splitting_sequence(*spec_, hyps, max_joint_states);
 }
 

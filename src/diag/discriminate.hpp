@@ -18,6 +18,7 @@
 // any black-box diagnoser can do.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "diag/diagnosis.hpp"
@@ -26,6 +27,7 @@
 namespace cfsmdiag {
 
 class discrim_engine;
+class sequence_replay;
 
 /// The joint search's input enumeration: every (port, input symbol) pair,
 /// machines in index order, each machine's input alphabet in sorted-id
@@ -35,18 +37,14 @@ class discrim_engine;
 
 class hypothesis_tracker {
   public:
-    /// `accelerate` routes splits()/apply_result() through sequence_replay
-    /// (prefix skipping per hypothesis); verdicts are identical either way.
-    hypothesis_tracker(const system& spec, std::vector<diagnosis> initial,
-                       bool accelerate = true);
+    hypothesis_tracker(const system& spec, std::vector<diagnosis> initial);
 
     /// Routes find_splitting_sequence() through the compiled discrimination
-    /// engine (diag/discrim_engine.hpp): flat joint BFS, pairwise splitting
-    /// tables and — when `memoize` — the engine's campaign-wide memo.
-    /// Results are byte-identical to the reference search; nullptr detaches.
-    void use_engine(const discrim_engine* engine, bool memoize) noexcept {
+    /// engine (diag/discrim_engine.hpp) and takes the spec replays of
+    /// splits()/apply_result() from its campaign-wide cache.  Results are
+    /// byte-identical to the reference search; nullptr detaches.
+    void use_engine(const discrim_engine* engine) noexcept {
         engine_ = engine;
-        memoize_ = memoize;
     }
 
     [[nodiscard]] const std::vector<diagnosis>& alive() const noexcept {
@@ -56,12 +54,10 @@ class hypothesis_tracker {
         return alive_.size();
     }
 
-    /// Predicted observations of `inputs` (from reset) under hypothesis i.
-    [[nodiscard]] std::vector<observation> predict(
-        std::size_t i, const std::vector<global_input>& inputs) const;
-
     /// True if at least two live hypotheses predict different observations
-    /// for the test.
+    /// for the test (from reset).  Like apply_result(), replays each
+    /// hypothesis only from its first firing step (sequence_replay); the
+    /// verdict equals comparing observe(spec, inputs, hypothesis) outputs.
     [[nodiscard]] bool splits(const std::vector<global_input>& inputs) const;
 
     /// Drops every live hypothesis whose prediction differs from
@@ -77,11 +73,14 @@ class hypothesis_tracker {
     find_splitting_sequence(std::size_t max_joint_states = 100'000) const;
 
   private:
+    /// The spec replay of `inputs`: the engine's shared one when attached,
+    /// else built here.
+    [[nodiscard]] std::shared_ptr<const sequence_replay> replay(
+        const std::vector<global_input>& inputs) const;
+
     const system* spec_;
     std::vector<diagnosis> alive_;
-    bool accelerate_;
     const discrim_engine* engine_ = nullptr;
-    bool memoize_ = true;
 };
 
 /// True if spec⊕a and spec⊕b produce identical observations on every input

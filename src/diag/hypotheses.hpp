@@ -28,7 +28,9 @@ namespace cfsmdiag {
 /// True iff the mutated spec reproduces the IUT's observed outputs on every
 /// test case of the report.  When `cache` is non-null the check runs
 /// through the replay cache (prefix skipping + suffix simulation) instead
-/// of a full from-reset replay; the verdict is identical either way.
+/// of a full from-reset replay; the verdict is identical either way.  The
+/// uncached form is the paper's procedure verbatim: diagnose() never runs
+/// it, and the tests use it as the oracle for every faster Step 5B path.
 [[nodiscard]] bool hypothesis_consistent(const system& spec,
                                          const test_suite& suite,
                                          const symptom_report& report,
@@ -39,8 +41,8 @@ namespace cfsmdiag {
 /// by the *calling thread* so far.  Thread-local, so parallel campaign
 /// workers get attributable per-fault counts without synchronization; the
 /// count is monotone — snapshot before and after a diagnose() run and
-/// subtract.  Cached and uncached replays count alike, so the count is
-/// independent of `use_replay_cache`.
+/// subtract.  Cached, uncached and compiled replays count alike, so the
+/// count is the same on every Step 5B path.
 [[nodiscard]] std::size_t hypothesis_replays() noexcept;
 
 /// Simulator steps (`simulator::apply` calls) performed by the calling

@@ -46,24 +46,6 @@ std::vector<observation> simulated_multi_iut::execute(
 
 namespace {
 
-/// Replay check with a full override set.
-bool consistent(const system& spec, const test_suite& suite,
-                const symptom_report& report,
-                const std::vector<transition_override>& overrides,
-                const replay_cache* cache) {
-    if (cache) return cache->consistent(overrides);
-    simulator sim(spec, overrides);
-    for (std::size_t ci = 0; ci < suite.cases.size(); ++ci) {
-        const auto& inputs = suite.cases[ci].inputs;
-        const auto& observed = report.runs[ci].observed;
-        sim.reset();
-        for (std::size_t step = 0; step < inputs.size(); ++step) {
-            if (sim.apply(inputs[step]) != observed[step]) return false;
-        }
-    }
-    return true;
-}
-
 /// Every admissible single fault of one transition (output, transfer,
 /// both).
 std::vector<single_transition_fault> options_of(
@@ -121,10 +103,7 @@ multi_fault_result diagnose_multi(const system& spec,
 
     // The O(pairs) loop below replays every hypothesis set against the
     // suite; the cache turns most of those replays into prefix checks.
-    std::optional<replay_cache> cache;
-    if (options.use_replay_cache)
-        cache.emplace(ctx.make_replay_cache(report));
-    const replay_cache* cache_ptr = cache ? &*cache : nullptr;
+    const replay_cache cache = ctx.make_replay_cache(report);
 
     std::vector<fault_set> alive;
     auto consider = [&](fault_set fs) {
@@ -132,7 +111,7 @@ multi_fault_result diagnose_multi(const system& spec,
             result.truncated_hypotheses = true;
             return;
         }
-        if (consistent(spec, suite, report, fs.to_overrides(), cache_ptr))
+        if (cache.consistent(fs.to_overrides()))
             alive.push_back(std::move(fs));
     };
 
@@ -173,13 +152,8 @@ multi_fault_result diagnose_multi(const system& spec,
                 if (equivalent.count(key) != 0) continue;
                 const std::vector<std::vector<transition_override>> hyps{
                     alive[i].to_overrides(), alive[j].to_overrides()};
-                const auto seq =
-                    options.use_flat_discrimination
-                        ? ctx.discrim().splitting_sequence(
-                              hyps, options.max_joint_states,
-                              /*use_memo=*/true)
-                        : splitting_sequence(spec, hyps,
-                                             options.max_joint_states);
+                const auto seq = ctx.discrim().splitting_sequence(
+                    hyps, options.max_joint_states);
                 if (seq) return seq;
                 equivalent.insert(std::move(key));
             }

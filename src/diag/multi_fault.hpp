@@ -71,13 +71,6 @@ struct multi_fault_options {
     std::size_t max_hypotheses = 50'000;
     std::size_t max_additional_tests = 300;
     std::size_t max_joint_states = 50'000;
-    /// Prefix-skip replays in the O(pairs) consistency loop (see
-    /// diag/replay_cache.hpp); results are identical with or without.
-    bool use_replay_cache = true;
-    /// Route the pairwise joint searches through the context's flat
-    /// discrimination engine (diag/discrim_engine.hpp).  Byte-identical
-    /// results; off exists for A/B measurement.
-    bool use_flat_discrimination = true;
 };
 
 struct multi_fault_result {

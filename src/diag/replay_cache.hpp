@@ -32,8 +32,8 @@
 // transitions re-synchronize immediately after every firing (the override
 // never touches the state), collapsing their checks to one simulated step
 // per firing.
-// The verdict is exactly hypothesis_consistent()'s, per case and per step,
-// so diagnoses are byte-identical with the cache on or off.
+// The verdict is exactly the uncached hypothesis_consistent()'s, per case
+// and per step, so diagnoses equal the paper's full-replay procedures.
 //
 // `sequence_replay` is the single-sequence sibling used by Step 6's
 // hypothesis_tracker: it predicts observations of one input sequence under

@@ -32,8 +32,8 @@
 namespace cfsmdiag {
 
 /// Resource-governance knobs of one campaign (util/budget.hpp).  All
-/// disabled by default — a campaign with every knob unset executes the
-/// exact pre-budget instruction stream, which is what the budgets-off
+/// disabled by default — a campaign with every knob unset computes exactly
+/// what the pre-budget engine did, which is what the budgets-off
 /// byte-identity tests pin.
 struct campaign_budget {
     /// Wall-clock deadline for the whole run().  On expiry a watchdog
@@ -50,16 +50,16 @@ struct campaign_budget {
     /// wrong entry.
     std::optional<std::chrono::milliseconds> entry_deadline;
     /// Per-entry governed-step quota (budget polls: replays, BFS
-    /// expansions, suite cases).  Deterministic, unlike the deadlines —
-    /// with one caveat: the cross-fault discrimination memo lets a memo
-    /// hit skip an entire joint search's worth of governed steps, so which
-    /// entry pays for a shared search (and therefore where a tight quota
-    /// trips) can vary with jobs/resume segmentation.  For strictly
-    /// reproducible quota behaviour pair this with
-    /// `diag.use_discrim_memo = false`.
+    /// expansions, suite cases).  Deterministic, unlike the deadlines: a
+    /// cross-fault discrimination-memo hit is charged the steps of the
+    /// search it stands in for, so an entry's count — and where the quota
+    /// trips — does not depend on jobs, on resume segmentation or on what
+    /// the context's memo already holds (DESIGN.md §5h piece 4).
     std::optional<std::uint64_t> entry_step_quota;
     /// Per-entry memory quota in bytes, accounted from bit_arena and BFS
-    /// frontier capacities.
+    /// frontier capacities.  A memo hit allocates no frontier and notes
+    /// none, so unlike the step quota this one can trip on a cold context
+    /// where a warm one passes.
     std::optional<std::size_t> entry_memory_bytes;
 
     /// True when any per-entry limit is set (these affect entry *content*

@@ -19,12 +19,17 @@
 namespace cfsmdiag {
 namespace {
 
-// v2: adds the resource-governance aggregate fields
+// v3: drops the four diagnosis-path switches (replay_cache, compiled_core,
+// flat_discrim, discrim_memo) from the options fingerprint, since the
+// input alone now picks each path.  A v2 snapshot is refused here, by its
+// format line, instead of failing later as an options-fingerprint
+// mismatch that would misname the cause.
+// v2: added the resource-governance aggregate fields
 // (agg.inconclusive_resource, agg.timed_out) and the per-entry budget
 // knobs to the options fingerprint.  v1 snapshots are refused — their
 // aggregates cannot be widened soundly without guessing zeros for counts
 // the old engine never classified.
-constexpr std::string_view kFormatLine = "format cfsmdiag-sweep-v2";
+constexpr std::string_view kFormatLine = "format cfsmdiag-sweep-v3";
 
 /// Thrown by the recorder to cancel the engine's parallel_for when
 /// should_stop fires.  Deliberately NOT derived from std::exception: no
@@ -87,10 +92,6 @@ std::string canonical_options(const campaign_options& o) {
     s += ";structured_step6=" + std::to_string(o.diag.structured_step6);
     s += ";fallback_search=" + std::to_string(o.diag.fallback_search);
     s += ";escalate_if_empty=" + std::to_string(o.diag.escalate_if_empty);
-    s += ";replay_cache=" + std::to_string(o.diag.use_replay_cache);
-    s += ";compiled_core=" + std::to_string(o.diag.use_compiled_core);
-    s += ";flat_discrim=" + std::to_string(o.diag.use_flat_discrimination);
-    s += ";discrim_memo=" + std::to_string(o.diag.use_discrim_memo);
     s += ";max_additional_tests=" +
          std::to_string(o.diag.max_additional_tests);
     s += ";max_joint_states=" + std::to_string(o.diag.max_joint_states);

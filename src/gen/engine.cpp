@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "diag/discrim_engine.hpp"
-#include "diag/discriminate.hpp"
 #include "diag/hypotheses.hpp"
 #include "fault/oracle.hpp"
 #include "util/rng.hpp"
@@ -26,20 +25,13 @@ namespace {
 /// scoring).
 bool truth_among(const spec_context& ctx,
                  const single_transition_fault& truth,
-                 const std::vector<diagnosis>& finals,
-                 const diagnoser_options& options) {
+                 const std::vector<diagnosis>& finals) {
     if (std::find(finals.begin(), finals.end(), truth) != finals.end())
         return true;
+    // The engine shares these joint searches with Step 6 through its
+    // campaign-wide memo.
     return std::any_of(finals.begin(), finals.end(), [&](const diagnosis& d) {
-        // Same verdict either way; the engine path shares its joint
-        // searches with Step 6 through the campaign-wide memo.  The
-        // 100'000-state bound is observationally_equivalent's default.
-        if (options.use_flat_discrimination) {
-            return observationally_equivalent(ctx.discrim(), truth, d,
-                                              100'000,
-                                              options.use_discrim_memo);
-        }
-        return observationally_equivalent(ctx.spec(), truth, d);
+        return observationally_equivalent(ctx.discrim(), truth, d);
     });
 }
 
@@ -208,7 +200,7 @@ campaign_entry campaign_engine::run_one(std::size_t index,
     // watchdog's cancel token.  Installed around everything this fault does
     // (diagnosis *and* scoring) so cancellation and starvation surface as
     // the classified outcomes below.  With no limits and no watchdog,
-    // nothing is installed — the pre-budget instruction stream, exactly.
+    // nothing is installed — the pre-budget computation, exactly.
     const campaign_budget& limits = options_.budget;
     run_budget budget;
     if (limits.entry_deadline) budget.with_deadline_in(*limits.entry_deadline);
@@ -269,9 +261,8 @@ campaign_entry campaign_engine::run_one(std::size_t index,
         if (entry.detected) {
             const auto t0 = std::chrono::steady_clock::now();
             try {
-                entry.sound = truth_among(*ctx_, fault,
-                                          result.final_diagnoses,
-                                          options_.diag);
+                entry.sound =
+                    truth_among(*ctx_, fault, result.final_diagnoses);
             } catch (const resource_exhausted&) {
                 // The budget died during scoring, after a completed
                 // diagnosis.  Guessing `sound` either way would corrupt the
@@ -351,11 +342,6 @@ const campaign_stats& campaign_engine::run() {
     const std::size_t n = planned_faults();
     stats_ = {};
     metrics_ = {};
-    metrics_.replay_cache_enabled = options_.diag.use_replay_cache;
-    metrics_.flat_discrimination_enabled =
-        options_.diag.use_flat_discrimination;
-    metrics_.discrim_memo_enabled = options_.diag.use_flat_discrimination &&
-                                    options_.diag.use_discrim_memo;
     metrics_.jobs =
         std::max<std::size_t>(1, std::min(resolve_job_count(options_.jobs),
                                           std::max<std::size_t>(n, 1)));
@@ -611,17 +597,11 @@ static json_value campaign_summary_json(const system& spec,
              json_value::number(metrics.additional_tests));
     cost.set("additional_inputs",
              json_value::number(metrics.additional_inputs));
-    cost.set("replay_cache_enabled",
-             json_value::boolean(metrics.replay_cache_enabled));
     cost.set("simulated_steps", json_value::number(metrics.simulated_steps));
     cost.set("cache_case_skips",
              json_value::number(metrics.cache_case_skips));
     cost.set("cache_suffix_replays",
              json_value::number(metrics.cache_suffix_replays));
-    cost.set("flat_discrimination_enabled",
-             json_value::boolean(metrics.flat_discrimination_enabled));
-    cost.set("discrim_memo_enabled",
-             json_value::boolean(metrics.discrim_memo_enabled));
     cost.set("discrim_joint_states",
              json_value::number(metrics.discrim_joint_states));
     cost.set("discrim_memo_hits",

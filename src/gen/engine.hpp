@@ -41,28 +41,23 @@ struct campaign_metrics {
     std::size_t jobs = 1;               ///< workers the run actually used
 
     /// Replay-cache cost counters, measured around diagnose() only (the
-    /// scoring equivalence check is identical in both configurations and
-    /// would dilute the comparison).  `simulated_steps` is simulator::apply
-    /// calls net of the simulated IUT's own execution — a real IUT runs in
-    /// hardware, so only the algorithm's simulation work is counted.  The
-    /// cache counters stay zero when the cache is off.
+    /// scoring equivalence check would dilute them).  `simulated_steps` is
+    /// simulator::apply calls net of the simulated IUT's own execution — a
+    /// real IUT runs in hardware, so only the algorithm's simulation work is
+    /// counted.
     std::size_t simulated_steps = 0;
     std::size_t cache_case_skips = 0;       ///< cases resolved w/o simulation
     std::size_t cache_suffix_replays = 0;   ///< snapshot-restore replays
-    bool replay_cache_enabled = true;
 
     /// Discrimination-engine cost counters (diag/discrim_engine.hpp),
     /// measured around diagnose() and the scoring equivalence checks.
     /// Campaign-wide totals are deterministic at any `jobs` (the memo
-    /// computes once per distinct key under its shard lock).  All stay
-    /// zero when flat discrimination is off.
+    /// computes once per distinct key under its shard lock).
     std::size_t discrim_joint_states = 0;   ///< joint states expanded (BFS)
     std::size_t discrim_memo_hits = 0;      ///< searches served by the memo
     std::size_t discrim_memo_misses = 0;    ///< searches that computed
     std::size_t discrim_table_answers = 0;  ///< settled by pairwise tables
     std::size_t discrim_bfs_searches = 0;   ///< flat joint BFS runs
-    bool flat_discrimination_enabled = true;
-    bool discrim_memo_enabled = true;
 
     /// Per-stage wall-clock summed across workers (seconds) — with jobs > 1
     /// the sum exceeds `wall_total`, and the ratio is the effective

@@ -25,11 +25,14 @@
 //
 // Determinism note: whether a deadline fires depends on wall-clock, so
 // budgeted runs are not byte-identical across machines — but a run with
-// *no* budget installed executes the exact pre-budget instruction stream
-// (every poll is a single thread-local load and branch), which is what the
-// budgets-off byte-identity tests pin.
+// *no* budget installed computes exactly what the pre-budget code did
+// (every poll is a single thread-local load and branch; only a Step 6
+// memo miss installs a limit-free meter to count its search's polls),
+// which is what the budgets-off byte-identity tests pin.  Step quotas are
+// deterministic too: a memo hit charge()s the polls its search recorded.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -134,6 +137,24 @@ class run_budget {
         if (deadline_ && (steps_ & 31u) == 1u) check_deadline_now();
     }
 
+    /// `n` governed steps at once: what a cache hit is charged for the
+    /// polls of the computation it stands in for, so step-quota behaviour
+    /// does not depend on what the cache already holds.  Throws exactly when
+    /// `n` consecutive poll() calls would (n = 0 is a no-op, like no poll).
+    void charge(std::uint64_t n) const {
+        if (n == 0) return;
+        if (cancel_ && cancel_->cancelled())
+            throw cancelled_error("cancelled: watchdog or campaign deadline");
+        if (step_quota_ && steps_ + n > *step_quota_) {
+            steps_ = std::max(steps_, *step_quota_) + 1;
+            throw resource_exhausted("step quota of " +
+                                     std::to_string(*step_quota_) +
+                                     " exhausted");
+        }
+        steps_ += n;
+        if (deadline_) check_deadline_now();
+    }
+
     /// Unconditional deadline + cancellation check (stage boundaries).
     void check_deadline_now() const {
         if (cancel_ && cancel_->cancelled())
@@ -183,6 +204,11 @@ namespace detail {
 /// Cheap poll from deep loops; no-op when no budget is installed.
 inline void budget_poll() {
     if (const run_budget* b = current_budget()) b->poll();
+}
+
+/// Charges `n` recorded steps (a cache hit); no-op when uninstalled.
+inline void budget_charge(std::uint64_t n) {
+    if (const run_budget* b = current_budget()) b->charge(n);
 }
 
 /// Memory accounting from arena/container owners; no-op when uninstalled.

@@ -87,6 +87,24 @@ TEST(run_budget, step_quota_trips_at_the_boundary) {
     EXPECT_EQ(b.steps_used(), 11u);
 }
 
+TEST(run_budget, charge_trips_like_that_many_polls) {
+    run_budget b;
+    b.with_step_quota(10);
+    b.charge(4);
+    b.charge(6);  // ten polls in all: exactly at the quota
+    EXPECT_EQ(b.steps_used(), 10u);
+    EXPECT_THROW(b.charge(3), resource_exhausted);
+    EXPECT_EQ(b.steps_used(), 11u);  // where the eleventh poll leaves it
+    EXPECT_NO_THROW(b.charge(0));    // no poll, nothing to trip
+    EXPECT_THROW(b.poll(), resource_exhausted);
+
+    cancel_token token;
+    run_budget c;
+    c.with_cancel(token);
+    token.cancel();
+    EXPECT_THROW(c.charge(1), cancelled_error);
+}
+
 TEST(run_budget, expired_deadline_fires_on_first_poll) {
     run_budget b;
     b.with_deadline(run_budget::clock::now() -
@@ -219,9 +237,7 @@ void check_ladder_soundness(const fixture& fx,
 
 TEST(degradation_ladder, aggressive_step_quota_classifies_everything) {
     campaign_options tight;
-    // Low enough to starve most Figure-1 faults mid-pipeline; the memo is
-    // off so quota trips are independent of cross-fault sharing.
-    tight.diag.use_discrim_memo = false;
+    // Low enough to starve most Figure-1 faults mid-pipeline.
     tight.budget.entry_step_quota = 300;
     check_ladder_soundness(figure1_fixture(), tight);
 }
@@ -230,7 +246,6 @@ TEST(degradation_ladder, aggressive_quota_on_random_systems) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE("system seed " + std::to_string(seed));
         campaign_options tight;
-        tight.diag.use_discrim_memo = false;
         tight.budget.entry_step_quota = 150 + 40 * seed;
         check_ladder_soundness(random_fixture(seed, 25), tight);
     }
@@ -238,7 +253,6 @@ TEST(degradation_ladder, aggressive_quota_on_random_systems) {
 
 TEST(degradation_ladder, tiny_memory_quota_classifies_everything) {
     campaign_options tight;
-    tight.diag.use_discrim_memo = false;
     tight.budget.entry_memory_bytes = 256;  // trips on the first arena
     check_ladder_soundness(figure1_fixture(60), tight);
 }
@@ -246,7 +260,6 @@ TEST(degradation_ladder, tiny_memory_quota_classifies_everything) {
 TEST(degradation_ladder, stats_count_starved_entries_separately) {
     const auto fx = figure1_fixture();
     campaign_options tight;
-    tight.diag.use_discrim_memo = false;
     // Low enough to starve Steps 1-5 outright for most faults (the Step-6
     // ladder's grace rung would otherwise still classify them normally).
     tight.budget.entry_step_quota = 25;
@@ -263,6 +276,75 @@ TEST(degradation_ladder, stats_count_starved_entries_separately) {
     EXPECT_LE(stats.sound, stats.detected);
     EXPECT_LE(stats.detected + stats.inconclusive_resource + stats.errored,
               stats.total);
+}
+
+TEST(degradation_ladder, governed_steps_do_not_depend_on_the_memo) {
+    // A discrimination-memo hit is charged the governed steps of the search
+    // it stands in for, so each fault's step count is the same on a fresh
+    // context, on a shared one warming as the faults go by, and once that
+    // one is fully warm (DESIGN.md §5h piece 4).
+    const system spec = models::sliding_window(4);
+    const test_suite suite = transition_tour(spec).suite;
+    const auto steps_of = [&](const spec_context& ctx,
+                              const single_transition_fault& fault) {
+        run_budget b;
+        b.with_step_quota(std::uint64_t{1} << 60);
+        diagnoser_options o;
+        o.budget = &b;
+        simulated_iut iut(spec, fault);
+        (void)diagnose(ctx, iut, o);
+        return b.steps_used();
+    };
+    const spec_context shared(spec, suite);
+    const std::size_t hits = discrim_totals().memo_hits;
+    for (const auto& fault : enumerate_all_faults(spec)) {
+        SCOPED_TRACE(describe(spec, fault));
+        const std::uint64_t cold = steps_of(spec_context(spec, suite), fault);
+        EXPECT_EQ(steps_of(shared, fault), cold) << "warming";
+        EXPECT_EQ(steps_of(shared, fault), cold) << "warm";
+    }
+    EXPECT_GT(discrim_totals().memo_hits, hits) << "no memo hit was charged";
+}
+
+TEST(degradation_ladder, step_quota_entries_identical_cold_warm_and_jobs) {
+    // A quota that starves a fifth of sliding_window(4)'s entries.  Memo
+    // hits are charged the steps of the searches they replace, so where a
+    // quota trips depends only on the entry: the entries come out the same
+    // on a cold and a warm context and at jobs 1 and 4, whichever worker
+    // fills a shared memo key first.
+    const system spec = models::sliding_window(4);
+    const test_suite suite = transition_tour(spec).suite;
+    const auto faults = enumerate_all_faults(spec);
+    campaign_options tight;
+    tight.budget.entry_step_quota = 700;
+
+    const spec_context ctx(spec, suite);
+    campaign_engine serial(ctx, faults, tight);
+    const auto cold = serial.run().entries;
+    const std::size_t cold_hits = serial.metrics().discrim_memo_hits;
+    std::size_t starved = 0;
+    for (const auto& e : cold)
+        starved += e.outcome == diagnosis_outcome::inconclusive_resource;
+    ASSERT_GT(starved, 0u) << "quota starves nothing — test is vacuous";
+    ASSERT_LT(starved, cold.size());
+
+    const auto expect_same = [&](const std::vector<campaign_entry>& got,
+                                 const std::string& config) {
+        ASSERT_EQ(got.size(), cold.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(config + ", fault #" + std::to_string(i) + ": " +
+                         describe(spec, got[i].fault));
+            EXPECT_EQ(got[i], cold[i]);
+        }
+    };
+    expect_same(serial.run().entries, "warm, jobs 1");
+    EXPECT_GT(serial.metrics().discrim_memo_hits, cold_hits)
+        << "the warm run must be served by the memo";
+
+    tight.jobs = 4;
+    campaign_engine parallel(spec, suite, faults, tight);
+    expect_same(parallel.run().entries, "cold, jobs 4");
+    expect_same(parallel.run().entries, "warm, jobs 4");
 }
 
 // --- campaign watchdog -----------------------------------------------------
@@ -379,8 +461,9 @@ TEST(sweep_budget, checkpoint_roundtrips_resource_fields) {
 
 TEST(sweep_budget, v1_snapshots_are_refused) {
     std::string payload = write_sweep_checkpoint({});
-    const std::string v2 = "cfsmdiag-sweep-v2";
-    payload.replace(payload.find(v2), v2.size(), "cfsmdiag-sweep-v1");
+    const std::string current = "cfsmdiag-sweep-v3";
+    payload.replace(payload.find(current), current.size(),
+                    "cfsmdiag-sweep-v1");
     EXPECT_THROW((void)parse_sweep_checkpoint(payload), snapshot_error);
 }
 

@@ -212,6 +212,24 @@ TEST(sweep_checkpoint_format, rejects_malformed_payloads) {
         snapshot_error);
 }
 
+TEST(sweep_checkpoint_format, v2_payload_is_refused_by_its_format_line) {
+    // A v2 snapshot fingerprinted the four retired path switches; refusing
+    // it by the format line names the real cause instead of reporting an
+    // options-fingerprint mismatch on resume.
+    const std::string current = write_sweep_checkpoint(sample_checkpoint());
+    const std::string v2 = "format cfsmdiag-sweep-v2" +
+                           current.substr(current.find('\n'));
+    try {
+        (void)parse_sweep_checkpoint(v2);
+        FAIL() << "v2 payload accepted";
+    } catch (const snapshot_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unrecognized format line 'format cfsmdiag-sweep-v2'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // --- streaming aggregation -------------------------------------------------
 
 TEST(streaming, stats_equal_accumulated_and_entries_arrive_in_order) {

@@ -1,7 +1,8 @@
 // The flat discrimination engine (diag/discrim_engine.hpp): result identity
-// with the reference joint search — per splitting-sequence call and through
-// the full diagnose()/run_campaign() pipeline — across {flat, reference} ×
-// {memo on, off} × {jobs 1, 2}, the property that every returned sequence
+// with the reference joint search — per splitting-sequence call (memo miss
+// and memo hit) and through the full diagnose()/run_campaign() pipeline
+// against the reference oracle (tests/reference_oracle.hpp), at jobs 1 and
+// 2 on cold and warm contexts — the property that every returned sequence
 // actually splits its hypothesis set, error parity on malformed overrides,
 // and determinism of the memo counters at any job count.
 #include <gtest/gtest.h>
@@ -10,12 +11,15 @@
 #include <string>
 
 #include "cfsmdiag.hpp"
+#include "reference_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
 
-/// Engine (memo on and off) vs reference search, including thrown error
-/// parity, for one hypothesis set and cap.
+/// Engine vs reference search, including thrown error parity, for one
+/// hypothesis set and cap.  The engine is asked twice: the first call may
+/// compute (a memo miss, unless an earlier query shared the key), the
+/// second is served by the memo.
 void expect_engine_matches_reference(
     const cfsmdiag::system& spec, const discrim_engine& engine,
     const std::vector<std::vector<transition_override>>& hyps,
@@ -29,14 +33,14 @@ void expect_engine_matches_reference(
         ref_threw = true;
         ref_msg = e.what();
     }
-    for (const bool memo : {true, false}) {
-        SCOPED_TRACE("cap " + std::to_string(cap) + ", memo " +
-                     std::to_string(memo));
+    for (const int call : {1, 2}) {
+        SCOPED_TRACE("cap " + std::to_string(cap) + ", call " +
+                     std::to_string(call));
         std::optional<std::vector<global_input>> flat;
         bool flat_threw = false;
         std::string flat_msg;
         try {
-            flat = engine.splitting_sequence(hyps, cap, memo);
+            flat = engine.splitting_sequence(hyps, cap);
         } catch (const error& e) {
             flat_threw = true;
             flat_msg = e.what();
@@ -134,7 +138,7 @@ TEST(discrim_engine, returned_sequences_actually_split) {
             const std::vector<std::vector<transition_override>> hyps{
                 all[i], all[j]};
             const auto seq =
-                ctx.discrim().splitting_sequence(hyps, 100'000, true);
+                ctx.discrim().splitting_sequence(hyps, 100'000);
             if (!seq) continue;
             ++sequences;
             SCOPED_TRACE("pair " + std::to_string(i) + "," +
@@ -159,29 +163,26 @@ TEST(discrim_engine, returned_sequences_actually_split) {
 }
 
 TEST(discrim_engine, diagnose_identical_flat_vs_reference_paper) {
+    // Every Figure-1 fault under the Table-1 suite, with structured Step 6
+    // proposals and with the joint search alone: the engine's proposal
+    // cache, replay cache and memoized search against the reference oracle.
     const auto ex = paperex::make_paper_example();
-    diagnoser_options flat;
-    diagnoser_options reference;
-    reference.use_flat_discrimination = false;
-
-    for (const auto& fault : enumerate_all_faults(ex.spec)) {
-        SCOPED_TRACE(describe(ex.spec, fault));
-        simulated_iut iut_a(ex.spec, fault);
-        simulated_iut iut_b(ex.spec, fault);
-        const auto a = diagnose(ex.spec, ex.suite, iut_a, flat);
-        const auto b = diagnose(ex.spec, ex.suite, iut_b, reference);
-        EXPECT_EQ(a.outcome, b.outcome);
-        EXPECT_EQ(a.initial_diagnoses, b.initial_diagnoses);
-        EXPECT_EQ(a.final_diagnoses, b.final_diagnoses);
-        ASSERT_EQ(a.additional_tests.size(), b.additional_tests.size());
-        for (std::size_t i = 0; i < a.additional_tests.size(); ++i) {
-            EXPECT_EQ(a.additional_tests[i].tc.inputs,
-                      b.additional_tests[i].tc.inputs);
-            EXPECT_EQ(a.additional_tests[i].purpose,
-                      b.additional_tests[i].purpose);
-            EXPECT_EQ(a.additional_tests[i].observed,
-                      b.additional_tests[i].observed);
+    const spec_context ctx(ex.spec, ex.suite);
+    ASSERT_TRUE(ctx.discrim().flat_search_available());
+    for (const bool structured : {true, false}) {
+        diagnoser_options options;
+        options.structured_step6 = structured;
+        std::size_t tests = 0;
+        for (const auto& fault : enumerate_all_faults(ex.spec)) {
+            SCOPED_TRACE(describe(ex.spec, fault) + ", structured " +
+                         std::to_string(structured));
+            simulated_iut iut(ex.spec, fault);
+            const auto r = diagnose(ctx, iut, options);
+            tests += r.additional_tests.size();
+            ref_oracle::expect_diagnosis_matches(ex.spec, ex.suite, r,
+                                                 options);
         }
+        EXPECT_GT(tests, 0u) << "no Step 6 test was checked";
     }
 }
 
@@ -196,39 +197,35 @@ TEST(discrim_engine, campaign_entries_identical_across_all_configurations) {
     auto faults = enumerate_all_faults(sys);
     if (faults.size() > 40) faults.resize(40);
 
-    campaign_options base;
-    campaign_engine baseline_engine(sys, suite, faults, base);
-    const auto baseline = baseline_engine.run().entries;
-    EXPECT_TRUE(baseline_engine.metrics().flat_discrimination_enabled);
-    EXPECT_TRUE(baseline_engine.metrics().discrim_memo_enabled);
-
-    for (const bool flat : {true, false}) {
-        for (const bool memo : {true, false}) {
-            for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
-                campaign_options o;
-                o.diag.use_flat_discrimination = flat;
-                o.diag.use_discrim_memo = memo;
-                o.jobs = jobs;
-                campaign_engine e(sys, suite, faults, o);
+    // Structured Step 6 and the joint search alone, each at jobs 1 and 2,
+    // on a cold context and then warm (its memo and caches filled by the
+    // first run).
+    for (const bool structured : {true, false}) {
+        campaign_options base;
+        base.diag.structured_step6 = structured;
+        campaign_engine baseline_engine(sys, suite, faults, base);
+        const auto baseline = baseline_engine.run().entries;
+        ref_oracle::expect_entries_match(sys, suite, faults, baseline,
+                                         base.diag);
+        if (!structured) {
+            EXPECT_GT(baseline_engine.metrics().discrim_memo_misses, 0u)
+                << "no joint search ran";
+        }
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+            campaign_options o = base;
+            o.jobs = jobs;
+            const spec_context ctx(sys, suite);
+            campaign_engine e(ctx, faults, o);
+            for (const char* context : {"cold", "warm"}) {
                 const auto& entries = e.run().entries;
                 ASSERT_EQ(entries.size(), baseline.size());
                 for (std::size_t i = 0; i < entries.size(); ++i) {
-                    SCOPED_TRACE("flat " + std::to_string(flat) + ", memo " +
-                                 std::to_string(memo) + ", jobs " +
-                                 std::to_string(jobs) + ", fault #" +
+                    SCOPED_TRACE(std::string(context) + ", jobs " +
+                                 std::to_string(jobs) + ", structured " +
+                                 std::to_string(structured) + ", fault #" +
                                  std::to_string(i) + ": " +
                                  describe(sys, entries[i].fault));
                     EXPECT_EQ(entries[i], baseline[i]);
-                }
-                EXPECT_EQ(e.metrics().flat_discrimination_enabled, flat);
-                EXPECT_EQ(e.metrics().discrim_memo_enabled, flat && memo);
-                if (!flat) {
-                    // The reference path must never touch the engine.
-                    EXPECT_EQ(e.metrics().discrim_joint_states, 0u);
-                    EXPECT_EQ(e.metrics().discrim_memo_hits, 0u);
-                    EXPECT_EQ(e.metrics().discrim_memo_misses, 0u);
-                    EXPECT_EQ(e.metrics().discrim_table_answers, 0u);
-                    EXPECT_EQ(e.metrics().discrim_bfs_searches, 0u);
                 }
             }
         }
@@ -290,7 +287,7 @@ TEST(discrim_engine, malformed_override_error_parity) {
         ref_msg = e.what();
     }
     try {
-        (void)ctx.discrim().splitting_sequence(hyps, 1000, true);
+        (void)ctx.discrim().splitting_sequence(hyps, 1000);
         FAIL() << "engine accepted duplicate targets";
     } catch (const error& e) {
         EXPECT_EQ(ref_msg, std::string(e.what()));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "reference_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -202,34 +203,22 @@ TEST(compiled_core, set_algebra_matches_reference_on_random_systems) {
 }
 
 TEST(compiled_core, diagnose_identical_with_core_on_and_off) {
-    // Full-pipeline byte identity: the compiled Steps 4-6 hot path must
-    // produce the same diagnosis as the reference std::set/simulator path,
-    // with the replay cache both on and off.
+    // Full-pipeline identity: the compiled Steps 4-5C hot path (and the
+    // engine-backed Step 6) against the uncached reference oracle.
     const auto ex = paperex::make_paper_example();
     const test_suite suite = transition_tour(ex.spec).suite;
-    for (const bool cache : {true, false}) {
-        diagnoser_options flat;
-        flat.use_replay_cache = cache;
-        diagnoser_options reference = flat;
-        reference.use_compiled_core = false;
-        std::size_t checked = 0;
-        const auto faults = enumerate_all_faults(ex.spec);
-        for (std::size_t i = 0; i < faults.size(); i += 3) {
-            SCOPED_TRACE(describe(ex.spec, faults[i]));
-            simulated_iut iut_a(ex.spec, faults[i]);
-            simulated_iut iut_b(ex.spec, faults[i]);
-            const auto a = diagnose(ex.spec, suite, iut_a, flat);
-            const auto b = diagnose(ex.spec, suite, iut_b, reference);
-            EXPECT_EQ(a.outcome, b.outcome);
-            EXPECT_EQ(a.initial_diagnoses, b.initial_diagnoses);
-            EXPECT_EQ(a.final_diagnoses, b.final_diagnoses);
-            EXPECT_EQ(a.used_escalation, b.used_escalation);
-            EXPECT_EQ(a.used_fallback_search, b.used_fallback_search);
-            EXPECT_EQ(a.additional_tests.size(), b.additional_tests.size());
-            ++checked;
-        }
-        EXPECT_GT(checked, 0u);
+    const spec_context ctx(ex.spec, suite);
+    ASSERT_TRUE(ctx.compiled().packable);
+    std::size_t checked = 0;
+    const auto faults = enumerate_all_faults(ex.spec);
+    for (std::size_t i = 0; i < faults.size(); i += 3) {
+        SCOPED_TRACE(describe(ex.spec, faults[i]));
+        simulated_iut iut(ex.spec, faults[i]);
+        ref_oracle::expect_diagnosis_matches(ex.spec, suite,
+                                             diagnose(ctx, iut));
+        ++checked;
     }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(compiled_core, campaign_entries_identical_with_core_on_and_off) {
@@ -243,23 +232,11 @@ TEST(compiled_core, campaign_entries_identical_with_core_on_and_off) {
     auto faults = enumerate_all_faults(sys);
     if (faults.size() > 60) faults.resize(60);
 
-    campaign_options flat;
-    campaign_options reference;
-    reference.diag.use_compiled_core = false;
-
-    campaign_engine flat_engine(sys, suite, faults, flat);
-    campaign_engine ref_engine(sys, suite, faults, reference);
-    const campaign_stats& a = flat_engine.run();
-    const campaign_stats& b = ref_engine.run();
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        SCOPED_TRACE("fault #" + std::to_string(i) + ": " +
-                     describe(sys, a.entries[i].fault));
-        EXPECT_EQ(a.entries[i], b.entries[i]);
-    }
-    // Same hypothesis work, radically less simulation overhead is the whole
-    // point — but identity is the contract.
-    EXPECT_EQ(flat_engine.metrics().replays, ref_engine.metrics().replays);
+    campaign_engine engine(sys, suite, faults, {});
+    ASSERT_TRUE(engine.context().compiled().packable);
+    const campaign_stats& stats = engine.run();
+    // Same hypothesis work as the uncached reference, entry for entry.
+    ref_oracle::expect_entries_match(sys, suite, faults, stats.entries);
 }
 
 TEST(random_system_test, generator_produces_valid_connected_systems) {

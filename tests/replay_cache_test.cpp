@@ -1,12 +1,16 @@
 // The replay cache (diag/replay_cache.hpp): firing index and snapshot
-// correctness, verdict equivalence with the legacy full replay, and — the
-// load-bearing contract — byte-identical diagnose()/run_campaign() results
-// with the cache on or off, on the paper example and across random systems.
+// correctness, verdict equivalence with the uncached full replay, and — the
+// load-bearing contract — diagnose()/run_campaign() results equal to the
+// uncached oracle (tests/reference_oracle.hpp), on the paper example,
+// across random systems, and on a system too wide for the compiled core,
+// where the reference Steps with the cache are the only path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "cfsmdiag.hpp"
+#include "reference_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -75,16 +79,20 @@ TEST(replay_cache, snapshot_restore_reproduces_spec_suffix) {
 }
 
 TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
+    // The cache and its compiled twin, flat_replayer, against the uncached
+    // full replay.
     const auto fx = paper_fixture::make();
     const spec_context ctx(fx.ex.spec, fx.ex.suite);
     const replay_cache cache = ctx.make_replay_cache(fx.report);
+    flat_replayer flat(ctx.compiled(), fx.ex.spec, fx.report);
 
     for (const auto& fault : enumerate_all_faults(fx.ex.spec)) {
         const transition_override ov = fault.to_override();
         SCOPED_TRACE(describe(fx.ex.spec, fault));
-        EXPECT_EQ(cache.consistent(ov),
-                  hypothesis_consistent(fx.ex.spec, fx.ex.suite, fx.report,
-                                        ov, nullptr));
+        const bool uncached = hypothesis_consistent(
+            fx.ex.spec, fx.ex.suite, fx.report, ov, nullptr);
+        EXPECT_EQ(cache.consistent(ov), uncached);
+        EXPECT_EQ(flat.consistent(ov), uncached);
     }
 }
 
@@ -146,65 +154,38 @@ TEST(sequence_replay, predict_and_matches_equal_plain_observe) {
     }
 }
 
-/// Field-wise equality of two diagnosis results (additional-test records
-/// compared by inputs/outputs/elimination, not wall-clock).
-void expect_same_result(const diagnosis_result& a,
-                        const diagnosis_result& b) {
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.initial_diagnoses, b.initial_diagnoses);
-    EXPECT_EQ(a.final_diagnoses, b.final_diagnoses);
-    EXPECT_EQ(a.used_escalation, b.used_escalation);
-    EXPECT_EQ(a.used_fallback_search, b.used_fallback_search);
-    ASSERT_EQ(a.additional_tests.size(), b.additional_tests.size());
-    for (std::size_t i = 0; i < a.additional_tests.size(); ++i) {
-        const auto& ra = a.additional_tests[i];
-        const auto& rb = b.additional_tests[i];
-        EXPECT_EQ(ra.tc.inputs, rb.tc.inputs);
-        EXPECT_EQ(ra.purpose, rb.purpose);
-        EXPECT_EQ(ra.expected, rb.expected);
-        EXPECT_EQ(ra.observed, rb.observed);
-        EXPECT_EQ(ra.eliminated, rb.eliminated);
-        EXPECT_EQ(ra.from_fallback, rb.from_fallback);
-    }
-}
-
 TEST(replay_cache, diagnose_identical_with_cache_on_and_off_paper) {
+    // Cached production path vs the uncached oracle, every Figure-1 fault
+    // under the Table-1 suite.
     const auto ex = paperex::make_paper_example();
-    diagnoser_options with_cache;
-    diagnoser_options without_cache;
-    without_cache.use_replay_cache = false;
-
     for (const auto& fault : enumerate_all_faults(ex.spec)) {
         SCOPED_TRACE(describe(ex.spec, fault));
-        simulated_iut iut_a(ex.spec, fault);
-        simulated_iut iut_b(ex.spec, fault);
-        expect_same_result(diagnose(ex.spec, ex.suite, iut_a, with_cache),
-                           diagnose(ex.spec, ex.suite, iut_b,
-                                    without_cache));
+        simulated_iut iut(ex.spec, fault);
+        ref_oracle::expect_diagnosis_matches(
+            ex.spec, ex.suite, diagnose(ex.spec, ex.suite, iut));
     }
 }
 
 TEST(replay_cache, diagnose_identical_both_evaluation_modes) {
+    // The paper's flag routing (with its escalations) and the complete
+    // evaluation, each against the oracle on every Figure-1 fault.
     const auto ex = paperex::make_paper_example();
     for (const auto mode : {evaluation_mode::paper_flag_routing,
                             evaluation_mode::complete}) {
-        diagnoser_options with_cache;
-        with_cache.evaluation = mode;
-        diagnoser_options without_cache = with_cache;
-        without_cache.use_replay_cache = false;
-        simulated_iut iut_a(ex.spec, ex.fault);
-        simulated_iut iut_b(ex.spec, ex.fault);
-        expect_same_result(diagnose(ex.spec, ex.suite, iut_a, with_cache),
-                           diagnose(ex.spec, ex.suite, iut_b,
-                                    without_cache));
+        diagnoser_options options;
+        options.evaluation = mode;
+        for (const auto& fault : enumerate_all_faults(ex.spec)) {
+            SCOPED_TRACE(describe(ex.spec, fault) + ", mode " +
+                         std::to_string(static_cast<int>(mode)));
+            simulated_iut iut(ex.spec, fault);
+            ref_oracle::expect_diagnosis_matches(
+                ex.spec, ex.suite, diagnose(ex.spec, ex.suite, iut, options),
+                options);
+        }
     }
 }
 
 TEST(replay_cache, randomized_diagnose_equivalence_20_systems) {
-    diagnoser_options with_cache;
-    diagnoser_options without_cache;
-    without_cache.use_replay_cache = false;
-
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         rng random(seed);
         random_system_options opts;
@@ -216,6 +197,7 @@ TEST(replay_cache, randomized_diagnose_equivalence_20_systems) {
         rng walk(seed + 1000);
         suite.extend(random_walk_suite(
             sys, walk, {.cases = 2, .steps_per_case = 8}));
+        const spec_context ctx(sys, suite);
 
         auto faults = enumerate_all_faults(sys);
         // Every 5th fault keeps the test fast while covering output,
@@ -223,10 +205,9 @@ TEST(replay_cache, randomized_diagnose_equivalence_20_systems) {
         for (std::size_t i = 0; i < faults.size(); i += 5) {
             SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
                          describe(sys, faults[i]));
-            simulated_iut iut_a(sys, faults[i]);
-            simulated_iut iut_b(sys, faults[i]);
-            expect_same_result(diagnose(sys, suite, iut_a, with_cache),
-                               diagnose(sys, suite, iut_b, without_cache));
+            simulated_iut iut(sys, faults[i]);
+            ref_oracle::expect_diagnosis_matches(sys, suite,
+                                                    diagnose(ctx, iut));
         }
     }
 }
@@ -242,35 +223,21 @@ TEST(replay_cache, campaign_entries_identical_with_cache_on_and_off) {
     auto faults = enumerate_all_faults(sys);
     if (faults.size() > 40) faults.resize(40);
 
-    campaign_options on;
-    campaign_options off;
-    off.diag.use_replay_cache = false;
-
-    campaign_engine engine_on(sys, suite, faults, on);
-    campaign_engine engine_off(sys, suite, faults, off);
-    const campaign_stats& a = engine_on.run();
-    const campaign_stats& b = engine_off.run();
-
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        SCOPED_TRACE("fault #" + std::to_string(i) + ": " +
-                     describe(sys, a.entries[i].fault));
-        EXPECT_EQ(a.entries[i], b.entries[i]);
-    }
-    EXPECT_EQ(engine_on.metrics().replays, engine_off.metrics().replays);
-    EXPECT_TRUE(engine_on.metrics().replay_cache_enabled);
-    EXPECT_FALSE(engine_off.metrics().replay_cache_enabled);
-    // The cache must actually engage (and save simulation work) on any
-    // campaign with detected faults.
-    if (a.detected > 0) {
-        EXPECT_GT(engine_on.metrics().cache_case_skips +
-                      engine_on.metrics().cache_suffix_replays,
+    campaign_engine engine(sys, suite, faults, {});
+    const campaign_stats& stats = engine.run();
+    ref_oracle::expect_entries_match(sys, suite, faults, stats.entries);
+    // The cache must actually engage on any campaign with detected faults.
+    if (stats.detected > 0) {
+        EXPECT_GT(engine.metrics().cache_case_skips +
+                      engine.metrics().cache_suffix_replays,
                   0u);
-        EXPECT_LT(engine_on.metrics().simulated_steps,
-                  engine_off.metrics().simulated_steps);
-        EXPECT_EQ(engine_off.metrics().cache_case_skips, 0u);
-        EXPECT_EQ(engine_off.metrics().cache_suffix_replays, 0u);
     }
+}
+
+/// Fault set with its members sorted, so sets compare by content.
+fault_set canonical(fault_set fs) {
+    std::sort(fs.faults.begin(), fs.faults.end());
+    return fs;
 }
 
 TEST(replay_cache, multi_fault_diagnosis_identical_with_cache_on_and_off) {
@@ -285,30 +252,63 @@ TEST(replay_cache, multi_fault_diagnosis_identical_with_cache_on_and_off) {
     ASSERT_NE(second, all.end());
     const fault_set fs{{ex.fault, *second}};
 
-    multi_fault_options with_cache;
-    with_cache.max_hypotheses = 3000;
-    with_cache.max_additional_tests = 10;
-    multi_fault_options without_cache = with_cache;
-    without_cache.use_replay_cache = false;
+    multi_fault_options options;
+    options.max_hypotheses = 3000;
+    options.max_additional_tests = 10;
+    simulated_multi_iut iut(ex.spec, fs);
+    const auto result = diagnose_multi(ex.spec, ex.suite, iut, options);
+    ASSERT_FALSE(result.truncated_hypotheses);
 
-    simulated_multi_iut iut_a(ex.spec, fs);
-    simulated_multi_iut iut_b(ex.spec, fs);
-    const auto a = diagnose_multi(ex.spec, ex.suite, iut_a, with_cache);
-    const auto b = diagnose_multi(ex.spec, ex.suite, iut_b, without_cache);
-
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.initial_hypotheses, b.initial_hypotheses);
-    EXPECT_EQ(a.final_hypotheses, b.final_hypotheses);
-    EXPECT_EQ(a.truncated_hypotheses, b.truncated_hypotheses);
-    ASSERT_EQ(a.additional_tests.size(), b.additional_tests.size());
-    for (std::size_t i = 0; i < a.additional_tests.size(); ++i) {
-        EXPECT_EQ(a.additional_tests[i].tc.inputs,
-                  b.additional_tests[i].tc.inputs);
-        EXPECT_EQ(a.additional_tests[i].observed,
-                  b.additional_tests[i].observed);
-        EXPECT_EQ(a.additional_tests[i].eliminated,
-                  b.additional_tests[i].eliminated);
+    // The oracle's initial hypothesis set: every single fault and every
+    // pair on distinct transitions that a plain simulator run of the suite
+    // finds consistent.
+    simulated_multi_iut suite_iut(ex.spec, fs);
+    const symptom_report report =
+        collect_symptoms(ex.spec, ex.suite, suite_iut);
+    const auto consistent = [&](const fault_set& h) {
+        simulator sim(ex.spec, h.to_overrides());
+        for (std::size_t ci = 0; ci < ex.suite.cases.size(); ++ci) {
+            if (sim.run_from_reset(ex.suite.cases[ci].inputs) !=
+                report.runs[ci].observed)
+                return false;
+        }
+        return true;
+    };
+    std::set<fault_set> alive;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        if (consistent({{all[i]}})) alive.insert({{all[i]}});
+        for (std::size_t j = i + 1; j < all.size(); ++j) {
+            if (all[i].target == all[j].target) continue;
+            const fault_set pair = canonical({{all[i], all[j]}});
+            if (consistent(pair)) alive.insert(pair);
+        }
     }
+    EXPECT_EQ(result.initial_hypotheses, alive.size());
+
+    // Replay the transcript: each test splits the live set, and filtering
+    // by plain simulation reproduces every elimination and the survivors.
+    for (const auto& rec : result.additional_tests) {
+        std::set<std::vector<observation>> predictions;
+        std::set<fault_set> kept;
+        for (const fault_set& h : alive) {
+            auto predicted = observe_multi(ex.spec, rec.tc.inputs,
+                                           h.to_overrides());
+            if (predicted == rec.observed) kept.insert(h);
+            predictions.insert(std::move(predicted));
+        }
+        EXPECT_GT(predictions.size(), 1u) << "test does not split";
+        EXPECT_EQ(rec.observed,
+                  observe_multi(ex.spec, rec.tc.inputs, fs.to_overrides()));
+        EXPECT_EQ(rec.eliminated, alive.size() - kept.size());
+        alive = std::move(kept);
+    }
+    std::set<fault_set> finals;
+    for (const fault_set& h : result.final_hypotheses)
+        finals.insert(canonical(h));
+    EXPECT_EQ(finals, alive);
+    EXPECT_TRUE(finals.count(canonical(fs)) == 1 ||
+                result.outcome ==
+                    diagnosis_outcome::localized_up_to_equivalence);
 }
 
 TEST(replay_cache, step_counter_is_monotone_and_counted_per_apply) {
@@ -319,6 +319,39 @@ TEST(replay_cache, step_counter_is_monotone_and_counted_per_apply) {
     (void)sim.apply(ex.suite.cases[0].inputs[0]);
     (void)sim.apply(ex.suite.cases[0].inputs[1]);
     EXPECT_EQ(simulated_steps(), before + 2);
+}
+
+TEST(replay_cache, wide_system_diagnoses_through_reference_steps) {
+    // 65 stations need 65 packed state bits: the compiled core cannot hold
+    // the system, so Steps 4-5C run on the reference Steps with a
+    // replay_cache — the only path above 64 bits — and Step 6 through the
+    // engine, which computes with the reference joint search.
+    const system spec = models::token_ring(65);
+    const test_suite suite = transition_tour(spec).suite;
+    const spec_context ctx(spec, suite);
+    ASSERT_FALSE(ctx.compiled().packable);
+    ASSERT_FALSE(ctx.discrim().flat_search_available());
+
+    const auto faults = enumerate_all_faults(spec);
+    std::size_t detected = 0;
+    for (std::size_t i = 0; i < faults.size(); i += 40) {
+        const single_transition_fault& truth = faults[i];
+        SCOPED_TRACE(describe(spec, truth));
+        simulated_iut iut(spec, truth);
+        const diagnosis_result r = diagnose(ctx, iut);
+        if (!r.symptoms.has_symptoms()) continue;
+        ++detected;
+        // Sound: the truth, or a hypothesis no test can tell from it.
+        EXPECT_TRUE(std::any_of(
+            r.final_diagnoses.begin(), r.final_diagnoses.end(),
+            [&](const diagnosis& d) {
+                return observationally_equivalent(spec, truth, d);
+            }));
+        // Steps 4-5C equal the uncached reference functions; Step 6
+        // replays through the oracle.
+        ref_oracle::expect_diagnosis_matches(spec, suite, r);
+    }
+    EXPECT_GT(detected, 0u);
 }
 
 TEST(replay_cache, rejects_out_of_range_override) {

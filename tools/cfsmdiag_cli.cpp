@@ -269,9 +269,7 @@ struct campaign_cli_args {
 };
 
 /// campaign <system-file> [max] [--jobs N] [--max-faults N] [--seed S]
-/// [--json <path>] [--progress] [--no-replay-cache] [--no-compiled-core]
-/// [--no-flat-discrimination] [--no-discrim-memo] [--max-joint-states N]
-/// [--flaky R]
+/// [--json <path>] [--progress] [--max-joint-states N] [--flaky R]
 /// [--flaky-seed S] [--retries N] [--votes N] [--retry-deadline-ms N]
 /// [--deadline-ms N] [--entry-deadline-ms N] [--entry-steps N]
 /// [--max-memory-mb N]
@@ -313,21 +311,6 @@ campaign_cli_args parse_campaign_args(const std::vector<std::string>& args) {
             out.json_path = value_of(i, a);
         } else if (a == "--progress") {
             out.progress = true;
-        } else if (a == "--no-replay-cache") {
-            // A/B switch: results are identical, only cost differs.
-            out.options.diag.use_replay_cache = false;
-        } else if (a == "--no-compiled-core") {
-            // A/B switch: reference std::set/std::map pipeline instead of
-            // the compiled bitset core; entries are byte-identical.
-            out.options.diag.use_compiled_core = false;
-        } else if (a == "--no-flat-discrimination") {
-            // A/B switch: reference joint search instead of the flat
-            // discrimination engine; entries are byte-identical.
-            out.options.diag.use_flat_discrimination = false;
-        } else if (a == "--no-discrim-memo") {
-            // A/B switch: keep the flat engine but recompute every joint
-            // search instead of sharing results across faults.
-            out.options.diag.use_discrim_memo = false;
         } else if (a == "--max-joint-states") {
             out.options.diag.max_joint_states = parse_count(
                 "campaign: --max-joint-states", value_of(i, a));
@@ -490,28 +473,14 @@ void print_campaign_summary(const campaign_stats& stats,
               << metrics.oracle_inputs << " oracle inputs, "
               << fmt_double(metrics.wall_total, 2) << "s on "
               << metrics.jobs << " worker(s)\n";
-    if (metrics.replay_cache_enabled) {
-        std::cout << "replay cache: " << metrics.cache_case_skips
-                  << " case skips, " << metrics.cache_suffix_replays
-                  << " suffix replays\n";
-    } else {
-        std::cout << "replay cache: disabled\n";
-    }
-    if (metrics.flat_discrimination_enabled) {
-        std::cout << "discrimination: " << metrics.discrim_joint_states
-                  << " joint states, " << metrics.discrim_bfs_searches
-                  << " searches, " << metrics.discrim_table_answers
-                  << " table answers, memo "
-                  << (metrics.discrim_memo_enabled
-                          ? std::to_string(metrics.discrim_memo_hits) +
-                                " hits / " +
-                                std::to_string(metrics.discrim_memo_misses) +
-                                " misses"
-                          : std::string("disabled"))
-                  << "\n";
-    } else {
-        std::cout << "discrimination: reference search\n";
-    }
+    std::cout << "replay cache: " << metrics.cache_case_skips
+              << " case skips, " << metrics.cache_suffix_replays
+              << " suffix replays\n";
+    std::cout << "discrimination: " << metrics.discrim_joint_states
+              << " joint states, " << metrics.discrim_bfs_searches
+              << " searches, " << metrics.discrim_table_answers
+              << " table answers, memo " << metrics.discrim_memo_hits
+              << " hits / " << metrics.discrim_memo_misses << " misses\n";
 }
 
 void write_campaign_json(const std::string& path, const cfsmdiag::system& sys,
@@ -673,11 +642,7 @@ int main(int argc, char** argv) {
            "  cfsmdiag reduce <system-file> <suite-file>\n"
            "  cfsmdiag campaign <system-file> [max-faults] [--jobs N]\n"
            "                    [--max-faults N] [--seed S] [--json <path>]\n"
-           "                    [--progress] [--no-replay-cache]\n"
-           "                    [--no-compiled-core]\n"
-           "                    [--no-flat-discrimination]\n"
-           "                    [--no-discrim-memo]\n"
-           "                    [--max-joint-states N]\n"
+           "                    [--progress] [--max-joint-states N]\n"
            "                    [--flaky R] [--flaky-seed S] [--retries N]\n"
            "                    [--votes N] [--retry-deadline-ms N]\n"
            "                    [--deadline-ms N] (campaign-wide wall-clock\n"

@@ -29,10 +29,11 @@ run_config() {
 
 run_config release -DCMAKE_BUILD_TYPE=Release
 
-# Bench smoke run: the engine closing blocks assert that cache-on/off,
-# compiled/reference and flat-discrimination/reference-search campaigns all
-# stay byte-identical, and print the simulated-step and discrimination-wall
-# reductions on a small workload (--quick caps the fault count).
+# Bench smoke run: the Figure-1 campaigns plus the unreliable-lab closing
+# block, which asserts that noisy verdicts never contradict clean ones,
+# flaky entries stay byte-identical across thread counts, and an injected
+# crash stays isolated (--quick caps the fault count).  Cost numbers come
+# from perfbench/ instead.
 echo "=== [release] bench smoke ==="
 cmake --build build-ci-release -j "${JOBS}" --target bench_fault_campaign
 (cd build-ci-release && bench/fault_campaign --quick)
