@@ -14,6 +14,8 @@
 //     sliding-window model — run() must return within 2x the deadline,
 //     with every entry classified.
 //
+// Every timed run gets a fresh spec_context (built before the clock
+// starts), so each row is a cold run: no row reuses another's memo.
 // `--quick` shrinks the models and loosens the overhead threshold for CI
 // smoke (tiny runs are noise-dominated); the full run asserts the 5%
 // budget-check overhead criterion.
@@ -42,9 +44,10 @@ struct timed_run {
     bool budget_stopped = false;
 };
 
-timed_run run_once(const spec_context& ctx,
+timed_run run_once(const cfsmdiag::system& spec, const test_suite& suite,
                    const std::vector<single_transition_fault>& faults,
                    const campaign_options& options) {
+    const spec_context ctx(spec, suite);
     campaign_engine engine(ctx, faults, options);
     const double t0 = now_s();
     timed_run out;
@@ -56,12 +59,12 @@ timed_run run_once(const spec_context& ctx,
 
 /// Best-of-N wall-clock for one configuration (min absorbs scheduler
 /// noise far better than a mean on sub-second runs).
-double best_wall(const spec_context& ctx,
+double best_wall(const cfsmdiag::system& spec, const test_suite& suite,
                  const std::vector<single_transition_fault>& faults,
                  const campaign_options& options, int reps) {
     double best = 1e300;
     for (int i = 0; i < reps; ++i)
-        best = std::min(best, run_once(ctx, faults, options).wall_s);
+        best = std::min(best, run_once(spec, suite, faults, options).wall_s);
     return best;
 }
 
@@ -83,7 +86,6 @@ int main(int argc, char** argv) {
     // --- block 1: budget-check overhead on the Figure-1 campaign --------
     {
         const auto ex = paperex::make_paper_example();
-        const spec_context ctx(ex.spec, ex.suite);
         const auto faults = enumerate_all_faults(ex.spec);
         const int reps = quick ? 3 : 9;
 
@@ -94,8 +96,10 @@ int main(int argc, char** argv) {
         governed.budget.entry_step_quota = 1ull << 60;
         governed.budget.entry_memory_bytes = std::size_t{1} << 46;
 
-        const double wall_plain = best_wall(ctx, faults, plain, reps);
-        const double wall_governed = best_wall(ctx, faults, governed, reps);
+        const double wall_plain =
+            best_wall(ex.spec, ex.suite, faults, plain, reps);
+        const double wall_governed =
+            best_wall(ex.spec, ex.suite, faults, governed, reps);
         const double overhead =
             wall_plain > 0.0 ? wall_governed / wall_plain - 1.0 : 0.0;
         // Sub-millisecond quick runs are noise-dominated; the 5% criterion
@@ -126,7 +130,6 @@ int main(int argc, char** argv) {
     {
         const cfsmdiag::system spec = models::sliding_window(quick ? 4 : 8);
         const test_suite suite = transition_tour(spec).suite;
-        const spec_context ctx(spec, suite);
         auto faults = enumerate_all_faults(spec);
         const std::size_t planned = faults.size();
         std::cout << "\nsliding_window(" << (quick ? 4 : 8) << "): "
@@ -135,7 +138,7 @@ int main(int argc, char** argv) {
         // Uncapped baseline: how long the full campaign takes.
         campaign_options free_run;
         free_run.jobs = 2;
-        const timed_run base = run_once(ctx, faults, free_run);
+        const timed_run base = run_once(spec, suite, faults, free_run);
         std::cout << "uncapped campaign: " << base.wall_s * 1e3
                   << " ms\n";
 
@@ -149,7 +152,7 @@ int main(int argc, char** argv) {
             campaign_options capped;
             capped.jobs = 2;
             capped.budget.campaign_deadline = deadline;
-            const timed_run got = run_once(ctx, faults, capped);
+            const timed_run got = run_once(spec, suite, faults, capped);
             const bool classified = all_classified(got.stats, planned);
             ok = ok && classified;
             const std::size_t done = got.stats.total - got.stats.timed_out;
@@ -184,7 +187,7 @@ int main(int argc, char** argv) {
         campaign_options capped;
         capped.jobs = 2;
         capped.budget.campaign_deadline = aggressive;
-        const timed_run tight = run_once(ctx, faults, capped);
+        const timed_run tight = run_once(spec, suite, faults, capped);
         const double bound_s =
             2.0 * static_cast<double>(aggressive.count()) / 1e3;
         const bool in_bound = tight.wall_s <= bound_s;

@@ -78,7 +78,7 @@ std::vector<suspect_group> group_hypotheses(const system& spec,
 
 std::vector<proposed_test> propose_structured_tests(
     const system& spec, const hypothesis_tracker& tracker,
-    const step6_options& options) {
+    const step6_options& options, const transfer_search& find_transfer) {
     std::vector<proposed_test> proposals;
     if (tracker.count() < 2) return proposals;
 
@@ -111,7 +111,9 @@ std::vector<proposed_test> propose_structured_tests(
         const machine_id m = g.id.machine;
 
         const auto transfer =
-            global_transfer_to_machine_state(spec, init, m, t.from, search);
+            find_transfer ? find_transfer(m, t.from, search)
+                          : global_transfer_to_machine_state(spec, init, m,
+                                                             t.from, search);
         if (!transfer) continue;  // unreachable under the ambiguity rule
 
         std::vector<global_input> base = *transfer;

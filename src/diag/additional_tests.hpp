@@ -43,11 +43,20 @@ struct step6_options {
     std::size_t max_proposals = 500;
 };
 
+/// Where the proposals' transfer sequences come from: the shortest input
+/// sequence from reset that brings machine `m` to state `s` under `search`,
+/// as global_transfer_to_machine_state from the initial global state
+/// computes it.  The discrimination engine passes a cached one.
+using transfer_search = std::function<std::optional<std::vector<global_input>>(
+    machine_id m, state_id s, const global_search_options& search)>;
+
 /// Ordered proposals for the current live hypothesis set.  Candidates whose
 /// source state cannot be reached while avoiding live candidates yield no
 /// structured proposal (the caller falls back to joint-state search).
+/// An empty `find_transfer` searches afresh for every transfer.
 [[nodiscard]] std::vector<proposed_test> propose_structured_tests(
     const system& spec, const hypothesis_tracker& tracker,
-    const step6_options& options = {});
+    const step6_options& options = {},
+    const transfer_search& find_transfer = {});
 
 }  // namespace cfsmdiag

@@ -23,13 +23,6 @@ constexpr std::size_t hop_budget = 1024;
 /// reused); larger spaces fall back to a hashed visited set.
 constexpr std::uint64_t dense_visited_cap = std::uint64_t{1} << 22;
 
-/// Layer-2 limits: product state space and pair-graph edge count a pairwise
-/// table may cost, and the largest hypothesis-set size worth the O(k²)
-/// pair gathering.
-constexpr std::uint32_t pair_state_cap = 128;
-constexpr std::uint64_t pair_edge_cap = std::uint64_t{1} << 21;
-constexpr std::size_t pair_k_cap = 16;
-
 /// True when no specification chain can ever throw: every internal
 /// transition sends a real (non-ε) message, the internal successor graph
 /// (transition t can trigger transition t' in its destination machine) is
@@ -171,271 +164,36 @@ discrim_engine::discrim_engine(const compiled_spec& cs, const system& spec)
         in_sym_.push_back(in.input.id);
     }
     flat_ok_ = cs.packable && spec_chains_safe(cs);
+    std::uint64_t size = 1;
+    stride_.reserve(cs.state_count.size());
+    for (const std::uint32_t count : cs.state_count) {
+        stride_.push_back(static_cast<std::uint32_t>(size));
+        size *= count;
+        if (size > dense_visited_cap) {
+            size = 0;  // dense indexing unavailable
+            break;
+        }
+    }
+    product_size_ = static_cast<std::uint32_t>(size);
 }
 
 std::uint32_t discrim_engine::product_index(
     std::uint64_t packed) const noexcept {
     std::uint32_t idx = 0;
-    const std::size_t machines = uni_.stride.size();
-    for (std::size_t m = 0; m < machines; ++m) {
+    for (std::size_t m = 0; m < stride_.size(); ++m) {
         const auto local = static_cast<std::uint32_t>(
             (packed >> cs_->state_shift[m]) & cs_->state_mask[m]);
-        idx += local * uni_.stride[m];
+        idx += local * stride_[m];
     }
     return idx;
 }
 
-bool discrim_engine::ensure_universe() const {
-    std::call_once(universe_once_, [this] {
-        const std::size_t machines = cs_->state_count.size();
-        uni_.stride.resize(machines);
-        std::uint64_t size = 1;
-        for (std::size_t m = 0; m < machines; ++m) {
-            uni_.stride[m] = static_cast<std::uint32_t>(size);
-            size *= cs_->state_count[m];
-            if (size > dense_visited_cap) {
-                uni_.size = 0;  // dense indexing unavailable
-                return;
-            }
-        }
-        uni_.size = static_cast<std::uint32_t>(size);
-        const std::uint64_t inputs = in_port_.size();
-        if (uni_.size == 0 || uni_.size > pair_state_cap ||
-            static_cast<std::uint64_t>(uni_.size) * uni_.size * inputs >
-                pair_edge_cap)
-            return;
-
-        // Enumerate the product space: index → packed state.
-        uni_.packed.resize(uni_.size);
-        for (std::uint32_t u = 0; u < uni_.size; ++u) {
-            std::uint64_t packed = 0;
-            std::uint32_t rest = u;
-            for (std::size_t m = 0; m < machines; ++m) {
-                const std::uint32_t local = rest % cs_->state_count[m];
-                rest /= cs_->state_count[m];
-                packed |= static_cast<std::uint64_t>(local)
-                          << cs_->state_shift[m];
-            }
-            uni_.packed[u] = packed;
-        }
-
-        // Spec dynamics (chain-safe: cannot throw).
-        const std::size_t cols = in_port_.size();
-        std::vector<std::uint32_t> succ(uni_.size * cols);
-        std::vector<std::uint64_t> obs(uni_.size * cols);
-        for (std::uint32_t u = 0; u < uni_.size; ++u) {
-            for (std::size_t in = 0; in < cols; ++in) {
-                std::uint64_t st = uni_.packed[u];
-                obs[u * cols + in] = flat_step(*cs_, *spec_, st,
-                                               in_port_[in], in_sym_[in],
-                                               nullptr, 0);
-                succ[u * cols + in] = product_index(st);
-            }
-        }
-
-        // Moore refinement into observational-equivalence classes: states
-        // are merged iff every input yields the same observation and
-        // equivalent successors.  Deterministic class ids (first-seen
-        // order) — they only ever feed equality checks.
-        uni_.cls.assign(uni_.size, 0);
-        std::vector<std::uint32_t> next_cls(uni_.size);
-        std::size_t classes = 1;
-        for (;;) {
-            std::unordered_map<key_type, std::uint32_t, key_hash> sig_ids;
-            key_type sig;
-            for (std::uint32_t u = 0; u < uni_.size; ++u) {
-                sig.clear();
-                sig.push_back(uni_.cls[u]);
-                for (std::size_t in = 0; in < cols; ++in) {
-                    const std::uint64_t o = obs[u * cols + in];
-                    sig.push_back(static_cast<std::uint32_t>(o >> 32));
-                    sig.push_back(static_cast<std::uint32_t>(o));
-                    sig.push_back(uni_.cls[succ[u * cols + in]]);
-                }
-                const auto [it, inserted] = sig_ids.emplace(
-                    sig, static_cast<std::uint32_t>(sig_ids.size()));
-                next_cls[u] = it->second;
-                (void)inserted;
-            }
-            const std::size_t refined = sig_ids.size();
-            uni_.cls.swap(next_cls);
-            if (refined == classes) break;
-            classes = refined;
-        }
-        uni_.ok = true;
-    });
-    return uni_.ok;
-}
-
-std::shared_ptr<const discrim_engine::hyp_tables>
-discrim_engine::hyp_dynamics_locked(const flat_hyp& h) const {
-    const auto it = hyp_cache_.find(h.enc);
-    if (it != hyp_cache_.end()) return it->second;
-
-    const std::uint32_t S = uni_.size;
-    const std::size_t cols = in_port_.size();
-    auto t = std::make_shared<hyp_tables>();
-    t->succ.resize(static_cast<std::size_t>(S) * cols);
-    t->obs.resize(static_cast<std::size_t>(S) * cols);
-    t->fired = dyn_bitset(static_cast<std::size_t>(S) * cols);
-    t->throws = dyn_bitset(static_cast<std::size_t>(S) * cols);
-    t->live = dyn_bitset(S);
-
-    // Seeds of the liveness closure: states that directly fire an
-    // overridden target (or whose step throws — a throwing state must
-    // never be classified as spec-equivalent).
-    for (std::uint32_t u = 0; u < S; ++u) {
-        for (std::size_t in = 0; in < cols; ++in) {
-            const std::size_t cell = static_cast<std::size_t>(u) * cols + in;
-            std::uint64_t st = uni_.packed[u];
-            bool fired = false;
-            bool hit = false;
-            try {
-                t->obs[cell] =
-                    flat_step(*cs_, *spec_, st, in_port_[in], in_sym_[in],
-                              h.ovs.data(), h.ovs.size(), &fired, &hit);
-            } catch (const error&) {
-                t->throws.set(cell);
-                t->live.set(u);
-                t->succ[cell] = u;  // unused: throw cells are dead ends
-                continue;
-            }
-            if (fired) t->fired.set(cell);
-            if (hit) t->live.set(u);
-            t->succ[cell] = product_index(st);
-        }
-    }
-
-    // Backward closure of liveness over the mutant step graph (throw cells
-    // excluded — they are seeds, not edges).
-    std::vector<std::uint32_t> work = t->live.to_indices();
-    std::vector<std::uint32_t> rev_off(S + 1, 0);
-    std::vector<std::uint32_t> rev(static_cast<std::size_t>(S) * cols);
-    for (std::uint32_t u = 0; u < S; ++u) {
-        for (std::size_t in = 0; in < cols; ++in) {
-            const std::size_t cell = static_cast<std::size_t>(u) * cols + in;
-            if (!t->throws.test(cell)) ++rev_off[t->succ[cell] + 1];
-        }
-    }
-    for (std::uint32_t v = 0; v < S; ++v) rev_off[v + 1] += rev_off[v];
-    {
-        std::vector<std::uint32_t> cursor(rev_off.begin(),
-                                          rev_off.end() - 1);
-        for (std::uint32_t u = 0; u < S; ++u) {
-            for (std::size_t in = 0; in < cols; ++in) {
-                const std::size_t cell =
-                    static_cast<std::size_t>(u) * cols + in;
-                if (!t->throws.test(cell)) rev[cursor[t->succ[cell]]++] = u;
-            }
-        }
-    }
-    while (!work.empty()) {
-        const std::uint32_t v = work.back();
-        work.pop_back();
-        for (std::uint32_t e = rev_off[v]; e < rev_off[v + 1]; ++e) {
-            const std::uint32_t u = rev[e];
-            if (!t->live.test(u)) {
-                t->live.set(u);
-                work.push_back(u);
-            }
-        }
-    }
-
-    return hyp_cache_.emplace(h.enc, std::move(t)).first->second;
-}
-
-std::shared_ptr<const dyn_bitset> discrim_engine::pair_map(
-    const flat_hyp& a, const flat_hyp& b) const {
-    // Canonical unordered key: the lexicographically smaller encoding
-    // first.  A swapped query reads bit (v, u) instead of (u, v).
-    const bool swapped = b.enc < a.enc;
-    const flat_hyp& first = swapped ? b : a;
-    const flat_hyp& second = swapped ? a : b;
-    key_type key = first.enc;
-    key.insert(key.end(), second.enc.begin(), second.enc.end());
-    const auto it = pair_cache_.find(key);
-    if (it != pair_cache_.end()) return it->second;
-
-    const auto ta = hyp_dynamics_locked(first);
-    const auto tb = hyp_dynamics_locked(second);
-    const std::uint32_t S = uni_.size;
-    const std::size_t cols = in_port_.size();
-    const std::size_t pairs = static_cast<std::size_t>(S) * S;
-
-    auto map = std::make_shared<dyn_bitset>(pairs);
-    std::vector<std::uint32_t> work;
-
-    // Forward edges of the live pair region (either side can still fire
-    // its target); dead-dead pairs are final — the mutants behave exactly
-    // like the spec from there, so disagreement reachability is Moore
-    // class inequality.
-    std::vector<std::uint32_t> edge_src;
-    std::vector<std::uint32_t> edge_dst;
-    for (std::uint32_t u = 0; u < S; ++u) {
-        const bool live_a = ta->live.test(u);
-        for (std::uint32_t v = 0; v < S; ++v) {
-            const std::uint32_t p = u * S + v;
-            if (!live_a && !tb->live.test(v)) {
-                if (uni_.cls[u] != uni_.cls[v]) {
-                    map->set(p);
-                    work.push_back(p);
-                }
-                continue;
-            }
-            bool seed = false;
-            for (std::size_t in = 0; in < cols; ++in) {
-                const std::size_t ca =
-                    static_cast<std::size_t>(u) * cols + in;
-                const std::size_t cb =
-                    static_cast<std::size_t>(v) * cols + in;
-                if (ta->throws.test(ca) || tb->throws.test(cb) ||
-                    ta->obs[ca] != tb->obs[cb]) {
-                    seed = true;
-                    continue;
-                }
-                edge_src.push_back(p);
-                edge_dst.push_back(ta->succ[ca] * S + tb->succ[cb]);
-            }
-            if (seed && !map->test(p)) {
-                map->set(p);
-                work.push_back(p);
-            }
-        }
-    }
-
-    // Reverse CSR + backward reachability from every seed.
-    std::vector<std::uint32_t> rev_off(pairs + 1, 0);
-    for (std::uint32_t d : edge_dst) ++rev_off[d + 1];
-    for (std::size_t p = 0; p < pairs; ++p) rev_off[p + 1] += rev_off[p];
-    std::vector<std::uint32_t> rev(edge_dst.size());
-    {
-        std::vector<std::uint32_t> cursor(rev_off.begin(),
-                                          rev_off.end() - 1);
-        for (std::size_t e = 0; e < edge_dst.size(); ++e)
-            rev[cursor[edge_dst[e]]++] = edge_src[e];
-    }
-    while (!work.empty()) {
-        const std::uint32_t p = work.back();
-        work.pop_back();
-        for (std::uint32_t e = rev_off[p]; e < rev_off[p + 1]; ++e) {
-            const std::uint32_t q = rev[e];
-            if (!map->test(q)) {
-                map->set(q);
-                work.push_back(q);
-            }
-        }
-    }
-
-    return pair_cache_.emplace(std::move(key), std::move(map))
-        .first->second;
-}
-
 std::optional<std::vector<global_input>> discrim_engine::flat_search(
     const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
-    const std::vector<const dyn_bitset*>& pair_maps) const {
+    std::size_t& memory_noted) const {
     const std::size_t k = hyps.size();
     const std::size_t cols = in_port_.size();
-    const std::uint32_t S = uni_.size;  // 0 = dense indexing unavailable
+    const std::uint32_t S = product_size_;  // 0 = dense indexing unavailable
 
     // S^k, saturated at dense_visited_cap + 1.
     std::uint64_t joint_bound = 0;
@@ -447,11 +205,6 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
         }
     }
     const bool dense = joint_bound != 0;
-    // Pruning is exact only when the reference search provably never hits
-    // its visited cap (every joint state it could ever insert fits).
-    const bool prune =
-        !pair_maps.empty() && joint_bound != 0 &&
-        joint_bound <= max_joint_states;
 
     // Flat node storage: k packed states per node + parent/via chains.
     std::vector<std::uint64_t> states;
@@ -501,10 +254,11 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
     std::vector<std::uint64_t> next(k);
     for (std::size_t head = 0; head < parent.size(); ++head) {
         // One governed unit per expansion; the BFS frontier is the search's
-        // dominant allocation, so it is what the memory quota sees.
+        // dominant allocation, so it is what the memory quota sees.  Its
+        // capacity never shrinks, so the last note is the largest.
         detail::budget_poll();
-        detail::budget_note_memory(states.capacity() *
-                                   sizeof(std::uint64_t));
+        memory_noted = states.capacity() * sizeof(std::uint64_t);
+        detail::budget_note_memory(memory_noted);
         std::copy(states.begin() + head * k,
                   states.begin() + (head + 1) * k, cur.begin());
         for (std::size_t in = 0; in < cols; ++in) {
@@ -538,24 +292,6 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
             }
             if (!progressed) continue;  // ε step in every hypothesis
             if (visited_count >= max_joint_states) continue;
-            if (prune) {
-                // Barren joint state: no hypothesis pair can ever disagree
-                // (or throw) from here — its whole subtree is silent, and
-                // with the cap provably unreachable, skipping it cannot
-                // change the first disagreement found.
-                bool barren = true;
-                std::size_t pi = 0;
-                for (std::size_t i = 0; i + 1 < k && barren; ++i) {
-                    const std::uint32_t ui = product_index(next[i]);
-                    for (std::size_t j = i + 1; j < k && barren; ++j) {
-                        const std::uint32_t uj = product_index(next[j]);
-                        if (pair_maps[pi++]->test(
-                                static_cast<std::size_t>(ui) * S + uj))
-                            barren = false;
-                    }
-                }
-                if (barren) continue;
-            }
             bool inserted = false;
             if (dense) {
                 inserted = g_dense.insert(joint_index(next.data()));
@@ -584,49 +320,6 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
     return std::nullopt;
 }
 
-std::optional<std::vector<global_input>> discrim_engine::compute(
-    const std::vector<flat_hyp>& hyps,
-    const std::vector<std::vector<transition_override>>& hypotheses,
-    std::size_t max_joint_states) const {
-    if (!flat_ok_)
-        return cfsmdiag::splitting_sequence(*spec_, hypotheses,
-                                            max_joint_states);
-
-    const std::size_t k = hyps.size();
-    const bool have_tables = ensure_universe();  // also fills the strides
-                                                 // the dense visited needs
-    std::vector<const dyn_bitset*> pair_maps;
-    std::vector<std::shared_ptr<const dyn_bitset>> pair_keep;
-    if (k <= pair_k_cap && have_tables) {
-        const std::lock_guard<std::mutex> lock(tables_mutex_);
-        pair_keep.reserve(k * (k - 1) / 2);
-        for (std::size_t i = 0; i + 1 < k; ++i) {
-            for (std::size_t j = i + 1; j < k; ++j)
-                pair_keep.push_back(pair_map(hyps[i], hyps[j]));
-        }
-        // `hyps` is sorted by encoding, so every pair_map(hyps[i],
-        // hyps[j]) with i < j is already in canonical orientation — bit
-        // (u, v) means "hypothesis i from u vs hypothesis j from v".
-        const std::uint32_t init = product_index(cs_->initial_packed);
-        bool all_safe = true;
-        for (const auto& m : pair_keep) {
-            if (m->test(static_cast<std::size_t>(init) * uni_.size + init))
-                all_safe = false;
-        }
-        if (all_safe) {
-            // No hypothesis pair can reach a disagreement (or a throwing
-            // state) from reset: the reference search — capped or not —
-            // returns nullopt.
-            ++g_counters.table_answers;
-            return std::nullopt;
-        }
-        pair_maps.reserve(pair_keep.size());
-        for (const auto& m : pair_keep) pair_maps.push_back(m.get());
-    }
-    ++g_counters.bfs_searches;
-    return flat_search(hyps, max_joint_states, pair_maps);
-}
-
 std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     const std::vector<std::vector<transition_override>>& hypotheses,
     std::size_t max_joint_states) const {
@@ -634,8 +327,8 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
 
     // Canonicalize: lowered overrides + sorted hypothesis order.  The
     // joint search's result is invariant under hypothesis permutation
-    // (DESIGN.md §5f), so sorting is safe and makes the memo key — and
-    // the pairwise-table cache — independent of caller order.
+    // (DESIGN.md §5f), so sorting is safe and makes the memo key
+    // independent of caller order.
     std::vector<flat_hyp> hyps;
     hyps.reserve(hypotheses.size());
     for (const auto& ovs : hypotheses) {
@@ -668,6 +361,8 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     if (it != shard.map.end()) {
         ++g_counters.memo_hits;
         detail::budget_charge(it->second.steps);
+        if (it->second.memory != 0)  // 0: the search noted nothing
+            detail::budget_note_memory(it->second.memory);
         return it->second.sequence;
     }
     ++g_counters.memo_misses;
@@ -682,7 +377,14 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
         counting = &meter;
     }
     const std::uint64_t before = counting->steps_used();
-    memo_value value{compute(hyps, hypotheses, max_joint_states), 0};
+    memo_value value;
+    if (flat_ok_) {
+        ++g_counters.bfs_searches;
+        value.sequence = flat_search(hyps, max_joint_states, value.memory);
+    } else {
+        value.sequence = cfsmdiag::splitting_sequence(*spec_, hypotheses,
+                                                      max_joint_states);
+    }
     value.steps = counting->steps_used() - before;
     auto result = value.sequence;
     shard.map.emplace(std::move(key), std::move(value));
@@ -746,9 +448,34 @@ discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
     const auto it = proposal_cache_.find(key);
     if (it != proposal_cache_.end()) return it->second;
     auto props = std::make_shared<const std::vector<proposed_test>>(
-        propose_structured_tests(*spec_, tracker, options));
+        propose_structured_tests(
+            *spec_, tracker, options,
+            [this](machine_id m, state_id s,
+                   const global_search_options& search) {
+                return transfer_for(m, s, search);
+            }));
     proposal_cache_.emplace(std::move(key), props);
     return props;
+}
+
+std::optional<std::vector<global_input>> discrim_engine::transfer_for(
+    machine_id m, state_id s, const global_search_options& search) const {
+    key_type key{m.value, s.value,
+                 static_cast<std::uint32_t>(search.max_states),
+                 static_cast<std::uint32_t>(
+                     std::uint64_t{search.max_states} >> 32),
+                 search.skip_null_steps ? 1u : 0u};
+    for (const global_transition_id& t : search.avoid) {
+        key.push_back(t.machine.value);
+        key.push_back(t.transition.value);
+    }
+    const std::lock_guard<std::mutex> lock(transfer_mutex_);
+    const auto it = transfer_cache_.find(key);
+    if (it != transfer_cache_.end()) return it->second;
+    auto transfer = global_transfer_to_machine_state(
+        *spec_, initial_global_state(*spec_), m, s, search);
+    transfer_cache_.emplace(std::move(key), transfer);
+    return transfer;
 }
 
 bool observationally_equivalent(const discrim_engine& engine,

@@ -5,7 +5,7 @@
 // the splitting-sequence search of diag/discriminate.cpp became the hot
 // path: a per-call BFS over map-backed joint states with per-step fsm::find
 // dispatch.  This engine keeps the search's *results* bit-for-bit identical
-// while changing everything about how they are computed, in three layers:
+// while changing everything about how they are computed, in two layers:
 //
 //   1. Flat joint BFS — the same breadth-first exploration (same input
 //      enumeration, same FIFO order, same `progressed` gate, same visited
@@ -20,31 +20,21 @@
 //      internal-successor graph, ≤ hop-budget transitions); otherwise the
 //      engine transparently computes through the reference search.
 //
-//   2. Pairwise splitting tables — lazily built per spec_context:
-//      a Moore partition of the full product state space into spec
-//      observational-equivalence classes, plus per-hypothesis-pair
-//      "disagreement reachable" bitmaps over product-state pairs (backward
-//      closure over the pair graph, seeded by direct disagreements, dead
-//      pairs with distinct Moore classes, and any state whose step would
-//      throw).  A query whose reset pair cannot reach a disagreement is
-//      answered nullopt without any BFS — exact regardless of the visited
-//      cap — and when the joint space provably fits under the cap, the
-//      tables also prune barren joint states inside the BFS.
-//
-//   3. Cross-fault memoization — a sharded, compute-once memo keyed on the
+//   2. Cross-fault memoization — a sharded, compute-once memo keyed on the
 //      canonicalized hypothesis set (dense compiled ids for the target and
 //      its end-state/output/destination effects, hypotheses sorted) and the
 //      visited cap.  Many mutants collapse to the same live-hypothesis
 //      signature, so one computed splitting sequence (or equivalence proof)
 //      serves the whole campaign; compute happens under the shard lock, so
 //      hit/miss totals are byte-identical at any --jobs.  A hit is charged
-//      the governed steps its computation took, so a step quota trips on a
-//      hit exactly where it would on a miss.
+//      the governed steps its computation took and notes the frontier it
+//      allocated, so a step or memory quota trips on a hit exactly where it
+//      would on a miss.
 //
-// Soundness of the shortcuts is argued in DESIGN.md §5f.  The engine is
+// Soundness of both layers is argued in DESIGN.md §5f.  The engine is
 // owned by spec_context, immutable from the caller's view, and safe to
-// share across campaign workers (internal tables are mutex-guarded and
-// built at most once).
+// share across campaign workers (the memo and the caches are
+// mutex-guarded).
 #pragma once
 
 #include <array>
@@ -61,20 +51,24 @@ namespace cfsmdiag {
 
 class hypothesis_tracker;
 class sequence_replay;
+struct global_search_options;
 struct proposed_test;
 struct step6_options;
 
 /// Thread-local discrimination cost counters, monotone per thread —
 /// snapshot before and after a diagnose() run and subtract, exactly like
-/// hypothesis_replays().  All five are deterministic campaign-wide totals
-/// for any --jobs (the memo computes under its shard lock, so each distinct
-/// key is a miss exactly once no matter which worker gets there first).
+/// hypothesis_replays().  All are deterministic campaign-wide totals for
+/// any --jobs (the memo computes under its shard lock, so each distinct key
+/// is a miss exactly once no matter which worker gets there first).
 struct discrim_counters {
-    std::size_t joint_states = 0;   ///< joint states expanded by flat BFS
-    std::size_t memo_hits = 0;      ///< queries served from the memo
-    std::size_t memo_misses = 0;    ///< queries that had to compute
-    std::size_t table_answers = 0;  ///< answered by pairwise tables, no BFS
-    std::size_t bfs_searches = 0;   ///< flat joint BFS runs
+    std::size_t joint_states = 0;  ///< joint states expanded by flat BFS
+    std::size_t memo_hits = 0;     ///< queries served from the memo
+    std::size_t memo_misses = 0;   ///< queries that had to compute
+    /// Always 0 (every memo miss runs a search).  Kept because the
+    /// perfbench harness reads it, and perfbench changes only together
+    /// with its benchmark definition.
+    std::size_t table_answers = 0;
+    std::size_t bfs_searches = 0;  ///< flat joint BFS runs
 };
 
 /// Snapshot of the calling thread's counters.
@@ -83,8 +77,8 @@ struct discrim_counters {
 class discrim_engine {
   public:
     /// `cs` and `spec` must outlive the engine (the spec_context owns all
-    /// three).  Construction is cheap; the pairwise tables build lazily on
-    /// first use.
+    /// three).  Construction is cheap: the input enumeration, the flat-path
+    /// gate and the dense-index strides.
     discrim_engine(const compiled_spec& cs, const system& spec);
 
     discrim_engine(const discrim_engine&) = delete;
@@ -102,7 +96,8 @@ class discrim_engine {
     /// sequence, or nullopt when the hypotheses are observationally
     /// equivalent within the cap).  Results are shared across calls and
     /// threads through the sharded memo; a hit charges the installed budget
-    /// the steps the search took, so governed runs see the same step counts
+    /// the steps the search took and notes the frontier it allocated, so
+    /// governed runs see the same step counts and memory high water
     /// whatever the memo holds.
     [[nodiscard]] std::optional<std::vector<global_input>> splitting_sequence(
         const std::vector<std::vector<transition_override>>& hypotheses,
@@ -135,41 +130,22 @@ class discrim_engine {
     /// A hypothesis lowered for the joint stepper.
     struct flat_hyp {
         std::vector<flat_override> ovs;
-        key_type enc;  ///< canonical encoding (memo / table cache key)
+        key_type enc;  ///< canonical encoding (memo key)
     };
-    /// Per-hypothesis dynamics over the full product state space: packed
-    /// successor + packed observation per (state, input), whether the step
-    /// fired and whether it would throw, and backward reachability of
-    /// "fires an overridden target" (dead states behave exactly like the
-    /// spec forever).
-    struct hyp_tables {
-        std::vector<std::uint32_t> succ;  ///< S * inputs, product indices
-        std::vector<std::uint64_t> obs;   ///< S * inputs, packed
-        dyn_bitset fired;                 ///< S * inputs
-        dyn_bitset throws;                ///< S * inputs
-        dyn_bitset live;                  ///< S: can still fire a target
-    };
-
-    [[nodiscard]] std::optional<std::vector<global_input>> compute(
-        const std::vector<flat_hyp>& hyps,
-        const std::vector<std::vector<transition_override>>& hypotheses,
-        std::size_t max_joint_states) const;
+    /// Runs the flat joint BFS; `memory_noted` receives the largest
+    /// frontier footprint it passed to the memory quota.
     [[nodiscard]] std::optional<std::vector<global_input>> flat_search(
         const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
-        const std::vector<const dyn_bitset*>& pair_maps) const;
+        std::size_t& memory_noted) const;
 
-    /// Builds the product universe (strides, Moore classes) once; returns
-    /// false when layer 2 is unavailable (too large, or a spec probe
-    /// misbehaved).
-    [[nodiscard]] bool ensure_universe() const;
-    [[nodiscard]] std::shared_ptr<const hyp_tables> hyp_dynamics_locked(
-        const flat_hyp& h) const;
-    /// Disagreement-reachability bitmap over ordered product-state pairs
-    /// for hypotheses (a, b); bit u*S+v set = a-from-u vs b-from-v can
-    /// disagree (or throw).  Cached under the canonical unordered key.
-    [[nodiscard]] std::shared_ptr<const dyn_bitset> pair_map(
-        const flat_hyp& a, const flat_hyp& b) const;
+    /// global_transfer_to_machine_state from reset, once per (machine,
+    /// state, search options): Step 6 derives its proposals again after
+    /// every applied test, and their transfers mostly repeat.
+    [[nodiscard]] std::optional<std::vector<global_input>> transfer_for(
+        machine_id m, state_id s, const global_search_options& search) const;
 
+    /// Mixed-radix index of a packed state in the product state space
+    /// (requires product_size_ != 0).
     [[nodiscard]] std::uint32_t product_index(
         std::uint64_t packed) const noexcept;
 
@@ -182,32 +158,22 @@ class discrim_engine {
     std::vector<std::uint32_t> in_port_;
     std::vector<std::uint32_t> in_sym_;
 
-    // --- lazily-built product universe (layer 2) --------------------------
-    struct universe {
-        bool ok = false;
-        std::uint32_t size = 0;             ///< Π state_count[m]
-        std::vector<std::uint32_t> stride;  ///< mixed-radix per machine
-        std::vector<std::uint64_t> packed;  ///< product index → packed state
-        std::vector<std::uint32_t> cls;     ///< Moore class per state
-    };
-    mutable std::once_flag universe_once_;
-    mutable universe uni_;
+    /// Product-space strides per machine for the dense visited index;
+    /// product_size_ = Π state_count, or 0 when above the dense cap.
+    std::vector<std::uint32_t> stride_;
+    std::uint32_t product_size_ = 0;
 
-    mutable std::mutex tables_mutex_;
-    mutable std::unordered_map<key_type, std::shared_ptr<const hyp_tables>,
-                               key_hash>
-        hyp_cache_;
-    mutable std::unordered_map<key_type, std::shared_ptr<const dyn_bitset>,
-                               key_hash>
-        pair_cache_;
-
-    // --- sharded cross-fault memo (layer 3) -------------------------------
+    // --- sharded cross-fault memo (layer 2) -------------------------------
     static constexpr std::size_t memo_shards = 16;
     struct memo_value {
         std::optional<std::vector<global_input>> sequence;
         /// Governed steps (budget polls) the computation took; every hit is
         /// charged them, so a step quota trips where a miss would.
         std::uint64_t steps = 0;
+        /// Largest frontier footprint the search noted to the memory quota
+        /// (0 on the reference path, which notes none); every hit notes it
+        /// again, so a memory quota trips where a miss would.
+        std::size_t memory = 0;
     };
     struct memo_shard {
         std::mutex mutex;
@@ -220,6 +186,12 @@ class discrim_engine {
                                std::shared_ptr<const sequence_replay>,
                                key_hash>
         replay_cache_;
+
+    mutable std::mutex transfer_mutex_;
+    mutable std::unordered_map<key_type,
+                               std::optional<std::vector<global_input>>,
+                               key_hash>
+        transfer_cache_;
 
     mutable std::mutex proposal_mutex_;
     mutable std::unordered_map<

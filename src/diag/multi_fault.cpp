@@ -19,9 +19,10 @@ void validate_fault_set(const system& spec, const fault_set& fs,
                         std::size_t max_size) {
     detail::require(!fs.faults.empty(),
                     "fault_set: must contain at least one fault");
-    detail::require(fs.faults.size() <= max_size,
-                    "fault_set: more than " + std::to_string(max_size) +
-                        " faulty transitions");
+    detail::require(fs.faults.size() <= max_size, [&] {
+        return "fault_set: more than " + std::to_string(max_size) +
+               " faulty transitions";
+    });
     for (std::size_t i = 0; i < fs.faults.size(); ++i) {
         validate_fault(spec, fs.faults[i]);
         for (std::size_t j = i + 1; j < fs.faults.size(); ++j) {

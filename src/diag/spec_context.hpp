@@ -60,7 +60,7 @@ class spec_context {
     }
 
     /// The campaign-wide flat discrimination engine (Step 6's joint search
-    /// on compiled tables + pairwise splitting tables + cross-fault memo).
+    /// on compiled tables behind a cross-fault memo).
     /// Shared across threads like the rest of the context; its internal
     /// caches are synchronized.
     [[nodiscard]] const discrim_engine& discrim() const noexcept {

@@ -39,9 +39,10 @@ fsm fsm_builder::build(std::string_view initial) const {
 
 state_id fsm_builder::id_of(std::string_view state_name) const {
     auto it = std::find(state_names_.begin(), state_names_.end(), state_name);
-    detail::require(it != state_names_.end(),
-                    "fsm_builder: unknown state '" + std::string(state_name) +
-                        "' in machine " + name_);
+    detail::require(it != state_names_.end(), [&] {
+        return "fsm_builder: unknown state '" + std::string(state_name) +
+               "' in machine " + name_;
+    });
     return state_id{
         static_cast<std::uint32_t>(it - state_names_.begin())};
 }

@@ -20,9 +20,10 @@ symbol symbol_table::intern(std::string_view text) {
 
 symbol symbol_table::lookup(std::string_view text) const {
     auto it = index_.find(std::string(text));
-    detail::require(it != index_.end(),
-                    "symbol_table::lookup: unknown symbol '" +
-                        std::string(text) + "'");
+    detail::require(it != index_.end(), [&] {
+        return "symbol_table::lookup: unknown symbol '" + std::string(text) +
+               "'";
+    });
     return symbol{it->second};
 }
 

@@ -57,9 +57,9 @@ struct campaign_budget {
     /// the context's memo already holds (DESIGN.md §5h piece 4).
     std::optional<std::uint64_t> entry_step_quota;
     /// Per-entry memory quota in bytes, accounted from bit_arena and BFS
-    /// frontier capacities.  A memo hit allocates no frontier and notes
-    /// none, so unlike the step quota this one can trip on a cold context
-    /// where a warm one passes.
+    /// frontier capacities.  Deterministic like the step quota: a memo hit
+    /// notes the largest frontier its search noted, so the quota trips on
+    /// a warm context where it would on a cold one.
     std::optional<std::size_t> entry_memory_bytes;
 
     /// True when any per-entry limit is set (these affect entry *content*

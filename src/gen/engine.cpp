@@ -327,8 +327,6 @@ campaign_entry campaign_engine::run_one(std::size_t index,
         discrim_now.memo_hits - discrim_base.memo_hits;
     cost_acc.discrim_memo_misses +=
         discrim_now.memo_misses - discrim_base.memo_misses;
-    cost_acc.discrim_table_answers +=
-        discrim_now.table_answers - discrim_base.table_answers;
     cost_acc.discrim_bfs_searches +=
         discrim_now.bfs_searches - discrim_base.bfs_searches;
     // A cancelled fault's partial work depends on when the watchdog fired;
@@ -418,7 +416,6 @@ const campaign_stats& campaign_engine::run() {
         metrics_.discrim_joint_states += cost.discrim_joint_states;
         metrics_.discrim_memo_hits += cost.discrim_memo_hits;
         metrics_.discrim_memo_misses += cost.discrim_memo_misses;
-        metrics_.discrim_table_answers += cost.discrim_table_answers;
         metrics_.discrim_bfs_searches += cost.discrim_bfs_searches;
         metrics_.stage += stage;
         metrics_.wall_scoring += scoring;
@@ -608,8 +605,6 @@ static json_value campaign_summary_json(const system& spec,
              json_value::number(metrics.discrim_memo_hits));
     cost.set("discrim_memo_misses",
              json_value::number(metrics.discrim_memo_misses));
-    cost.set("discrim_table_answers",
-             json_value::number(metrics.discrim_table_answers));
     cost.set("discrim_bfs_searches",
              json_value::number(metrics.discrim_bfs_searches));
     cost.set("wall_symptoms_s", json_value::number(metrics.stage.symptoms));

@@ -56,7 +56,10 @@ struct campaign_metrics {
     std::size_t discrim_joint_states = 0;   ///< joint states expanded (BFS)
     std::size_t discrim_memo_hits = 0;      ///< searches served by the memo
     std::size_t discrim_memo_misses = 0;    ///< searches that computed
-    std::size_t discrim_table_answers = 0;  ///< settled by pairwise tables
+    /// Always 0 (every memo miss runs a search).  Kept because the
+    /// perfbench harness reads it, and perfbench changes only together with
+    /// its benchmark definition.
+    std::size_t discrim_table_answers = 0;
     std::size_t discrim_bfs_searches = 0;   ///< flat joint BFS runs
 
     /// Per-stage wall-clock summed across workers (seconds) — with jobs > 1
@@ -155,7 +158,6 @@ class campaign_engine {
         std::size_t discrim_joint_states = 0;
         std::size_t discrim_memo_hits = 0;
         std::size_t discrim_memo_misses = 0;
-        std::size_t discrim_table_answers = 0;
         std::size_t discrim_bfs_searches = 0;
     };
 

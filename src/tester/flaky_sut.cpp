@@ -13,9 +13,9 @@ flaky_sut::flaky_sut(sut_connection& inner, const system& spec,
       ports_(inner.port_count()),
       rng_(profile.seed) {
     auto check = [](double rate, const char* name) {
-        detail::require(rate >= 0.0 && rate <= 1.0,
-                        std::string("flaky_sut: ") + name +
-                            " must be in [0, 1]");
+        detail::require(rate >= 0.0 && rate <= 1.0, [&] {
+            return std::string("flaky_sut: ") + name + " must be in [0, 1]";
+        });
     };
     check(profile.drop_rate, "drop_rate");
     check(profile.garble_rate, "garble_rate");

@@ -48,8 +48,9 @@ test_case parse_compact(const std::string& name, const std::string& text,
     tc.name = name;
     for (const auto& raw : split(text, ',')) {
         const std::string token{trim(raw)};
-        detail::require(!token.empty(),
-                        "parse_compact: empty token in '" + text + "'");
+        detail::require(!token.empty(), [&] {
+            return "parse_compact: empty token in '" + text + "'";
+        });
         if (token == "R" || token == "r") {
             tc.inputs.push_back(global_input::reset());
             continue;
@@ -62,9 +63,10 @@ test_case parse_compact(const std::string& name, const std::string& text,
                std::isdigit(
                    static_cast<unsigned char>(token[first_digit - 1])))
             --first_digit;
-        detail::require(first_digit > 0 && first_digit < token.size(),
-                        "parse_compact: token '" + token +
-                            "' must be <symbol><port-digits> or R");
+        detail::require(first_digit > 0 && first_digit < token.size(), [&] {
+            return "parse_compact: token '" + token +
+                   "' must be <symbol><port-digits> or R";
+        });
         std::size_t split_at = token.size() - 1;
         while (split_at > first_digit &&
                !symbols.contains(token.substr(0, split_at)))
@@ -83,9 +85,9 @@ test_case parse_compact(const std::string& name, const std::string& text,
                 break;
             }
         }
-        detail::require(port >= 1 && !overflow,
-                        "parse_compact: port out of range in '" + token +
-                            "'");
+        detail::require(port >= 1 && !overflow, [&] {
+            return "parse_compact: port out of range in '" + token + "'";
+        });
         tc.inputs.push_back(global_input::at(
             machine_id{static_cast<std::uint32_t>(port - 1)},
             symbols.lookup(sym)));

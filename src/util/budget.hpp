@@ -28,8 +28,9 @@
 // *no* budget installed computes exactly what the pre-budget code did
 // (every poll is a single thread-local load and branch; only a Step 6
 // memo miss installs a limit-free meter to count its search's polls),
-// which is what the budgets-off byte-identity tests pin.  Step quotas are
-// deterministic too: a memo hit charge()s the polls its search recorded.
+// which is what the budgets-off byte-identity tests pin.  Step and memory
+// quotas are deterministic too: a memo hit charge()s the polls its search
+// recorded and notes the frontier it noted.
 #pragma once
 
 #include <algorithm>

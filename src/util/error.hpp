@@ -73,15 +73,11 @@ class usage_error : public error {
 
 namespace detail {
 
-/// Throws cfsmdiag::error if `cond` is false.  Used for public-API
-/// precondition checks; internal invariants use assert().
-inline void require(bool cond, const std::string& msg) {
-    if (!cond) throw error(msg);
-}
-
-/// Literal-message overload: no std::string is constructed when the check
-/// passes (the std::string overload above pays an allocation per call even
-/// on success — measurably hot inside simulator::apply).
+/// Throws cfsmdiag::error with `msg` if `cond` is false.  Used for
+/// public-API precondition checks; internal invariants use assert().
+/// There is deliberately no std::string overload: a message built before
+/// the call costs an allocation on every check that passes, which is
+/// measurably hot in accessors like system::machine().
 inline void require(bool cond, const char* msg) {
     if (!cond) throw error(msg);
 }

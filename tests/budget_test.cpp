@@ -347,6 +347,42 @@ TEST(degradation_ladder, step_quota_entries_identical_cold_warm_and_jobs) {
     expect_same(parallel.run().entries, "warm, jobs 4");
 }
 
+TEST(degradation_ladder, memory_quota_entries_identical_cold_and_warm) {
+    // A memory quota that only Step 6's joint-search frontiers exceed on
+    // sliding_window(5), starving a few of its entries.  A memo hit notes
+    // the frontier its search noted, so where the quota trips depends only
+    // on the entry: a fresh context and one an unbudgeted campaign filled
+    // first give the same entries.
+    const system spec = models::sliding_window(5);
+    const test_suite suite = transition_tour(spec).suite;
+    const auto faults = enumerate_all_faults(spec);
+    campaign_options tight;
+    tight.budget.entry_memory_bytes = 9216;
+
+    campaign_engine fresh(spec, suite, faults, tight);
+    const auto cold = fresh.run().entries;
+    std::size_t starved = 0;
+    for (const auto& e : cold)
+        starved += e.outcome == diagnosis_outcome::inconclusive_resource;
+    ASSERT_GT(starved, 0u) << "quota starves nothing — test is vacuous";
+    ASSERT_LT(starved, cold.size());
+
+    const spec_context ctx(spec, suite);
+    campaign_engine warmer(ctx, faults, campaign_options{});
+    (void)warmer.run();
+    campaign_engine warm(ctx, faults, tight);
+    const auto got = warm.run().entries;
+    EXPECT_GT(warm.metrics().discrim_memo_hits,
+              fresh.metrics().discrim_memo_hits)
+        << "the warm run must be served by the memo";
+    ASSERT_EQ(got.size(), cold.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("fault #" + std::to_string(i) + ": " +
+                     describe(spec, got[i].fault));
+        EXPECT_EQ(got[i], cold[i]);
+    }
+}
+
 // --- campaign watchdog -----------------------------------------------------
 
 TEST(campaign_watchdog, deadline_classifies_every_fault) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "cfsmdiag.hpp"
+#include "models/models.hpp"
 #include "reference_oracle.hpp"
 
 namespace cfsmdiag {
@@ -91,6 +92,31 @@ TEST(discrim_engine, splitting_sequence_identity_paper) {
         expect_engine_matches_reference(ex.spec, ctx.discrim(), hyps,
                                         100'000);
     }
+
+    // A zoo model, queried with the hypothesis sets Step 6 sees: each
+    // fault's Step 5 survivors.  Some are sets of equivalent hypotheses,
+    // on which the search must exhaust the joint space.  The survivors
+    // come from a second context, so the engine under test starts with an
+    // empty memo.
+    const cfsmdiag::system zoo = models::sliding_window(4);
+    const test_suite zoo_suite = transition_tour(zoo).suite;
+    const spec_context probe(zoo, zoo_suite);
+    const spec_context zoo_ctx(zoo, zoo_suite);
+    diagnoser_options step5_only;
+    step5_only.max_additional_tests = 0;
+    std::size_t sets = 0;
+    for (const auto& fault : enumerate_all_faults(zoo)) {
+        simulated_iut iut(zoo, fault);
+        const auto live = diagnose(probe, iut, step5_only).initial_diagnoses;
+        if (live.size() < 2) continue;
+        ++sets;
+        SCOPED_TRACE(describe(zoo, fault));
+        for (const std::size_t cap : {std::size_t{100'000}, std::size_t{7}})
+            expect_engine_matches_reference(zoo, zoo_ctx.discrim(),
+                                            ref_oracle::overrides_of(live),
+                                            cap);
+    }
+    EXPECT_GT(sets, 0u);
 }
 
 TEST(discrim_engine, splitting_sequence_identity_random_20_systems) {
@@ -258,8 +284,6 @@ TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
                       first.discrim_memo_misses);
             EXPECT_EQ(e.metrics().discrim_joint_states,
                       first.discrim_joint_states);
-            EXPECT_EQ(e.metrics().discrim_table_answers,
-                      first.discrim_table_answers);
             EXPECT_EQ(e.metrics().discrim_bfs_searches,
                       first.discrim_bfs_searches);
         }

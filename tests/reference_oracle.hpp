@@ -11,8 +11,8 @@
 //                by observe() on each hypothesis.
 // diagnose() runs none of this: it takes the compiled core or a
 // replay_cache for Steps 4-5C and the context's discrimination engine (memo,
-// proposal and replay caches) for Step 6.  The checks below hold the
-// production result to the oracle field for field.
+// proposal, transfer and replay caches) for Step 6.  The checks below hold
+// the production result to the oracle field for field.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -39,7 +39,7 @@ using namespace cfsmdiag;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path);
-    detail::require(in.good(), "cannot open file: " + path);
+    detail::require(in.good(), [&] { return "cannot open file: " + path; });
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
@@ -478,8 +478,7 @@ void print_campaign_summary(const campaign_stats& stats,
               << " suffix replays\n";
     std::cout << "discrimination: " << metrics.discrim_joint_states
               << " joint states, " << metrics.discrim_bfs_searches
-              << " searches, " << metrics.discrim_table_answers
-              << " table answers, memo " << metrics.discrim_memo_hits
+              << " searches, memo " << metrics.discrim_memo_hits
               << " hits / " << metrics.discrim_memo_misses << " misses\n";
 }
 
@@ -487,7 +486,8 @@ void write_campaign_json(const std::string& path, const cfsmdiag::system& sys,
                          const campaign_stats& stats,
                          const campaign_metrics& metrics) {
     std::ofstream jout(path);
-    detail::require(jout.good(), "cannot write file: " + path);
+    detail::require(jout.good(),
+                    [&] { return "cannot write file: " + path; });
     // The streaming overload renders entry-by-entry, so the report costs
     // one entry of memory even for very large campaigns.
     campaign_to_json(jout, sys, stats, metrics);

@@ -76,9 +76,9 @@ cmake --build "${tsan_dir}" -j "${JOBS}" \
       property_test budget_test cfsmdiag_cli
 echo "=== [tsan] run ==="
 "${tsan_dir}/tests/campaign_engine_test"
-# The discrimination engine's lazily-built tables, sharded memo and replay/
-# proposal caches are shared across campaign workers — the jobs-2 identity
-# and counter-determinism tests are the racy surface.
+# The discrimination engine's sharded memo and replay/proposal caches are
+# shared across campaign workers — the jobs-2 identity and
+# counter-determinism tests are the racy surface.
 "${tsan_dir}/tests/discrim_engine_test"
 # The compiled core is shared read-only across workers (one spec_context per
 # engine); the bitset/property tests run here to catch races in the arena
@@ -103,7 +103,7 @@ cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [asan+ubsan] build resilience tests ==="
 cmake --build "${asan_dir}" -j "${JOBS}" \
       --target resilience_test checkpoint_test bitset_test property_test \
-      cfsmdiag_cli fuzz_io
+      discrim_engine_test budget_test cfsmdiag_cli fuzz_io
 echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/resilience_test"
 # The checkpoint layer's POSIX fd handling (spill truncate/append/fsync),
@@ -117,6 +117,12 @@ echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/bitset_test"
 "${asan_dir}/tests/property_test" \
       --gtest_filter='compiled_core.*'
+# The flat joint BFS indexes its dense visited set by mixed-radix product
+# indices, and the memo records what each search charged and noted: the
+# engine's identity tests and the budget suite (memo hits under step and
+# memory quotas) run under both.
+"${asan_dir}/tests/discrim_engine_test"
+"${asan_dir}/tests/budget_test"
 "${asan_dir}/tools/cfsmdiag" campaign examples/data/figure1.cfsm \
       --max-faults 20 --jobs 2 --seed 7 \
       --flaky 0.05 --retries 3 >/dev/null
