@@ -38,6 +38,49 @@ std::uint32_t next_fire(const compiled_spec::case_tables& ct,
     return it == end ? invalid_index : *it;
 }
 
+/// Splitmix64's finalizer.
+std::uint64_t mix64(std::uint64_t z) noexcept {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/// A fault-dictionary signature's contribution of observing `obs` where
+/// the spec expects `expected`, at step `k` of case `ci` (Zobrist-style:
+/// one pseudo-random key per (position, observation)).
+std::uint64_t signature_term(std::size_t ci, std::size_t k,
+                             std::uint64_t obs, std::uint64_t expected) {
+    const std::uint64_t pos = mix64((static_cast<std::uint64_t>(ci) << 32) | k);
+    return mix64(pos + obs) - mix64(pos + expected);
+}
+
+/// The whole-suite signature of spec ⊕ `ov`.  Before the target's first
+/// firing in a case, and after each re-synchronization until its next
+/// one, the mutated run equals the spec run (the prefix and
+/// re-synchronization lemmas), so only the stretches in between are
+/// stepped.  Throws what flat_step throws.
+std::uint64_t suite_signature(const compiled_spec& cs, const system& spec,
+                              const flat_override& ov) {
+    std::uint64_t sig = 0;
+    for (std::size_t ci = 0; ci < cs.cases.size(); ++ci) {
+        const compiled_spec::case_tables& ct = cs.cases[ci];
+        const std::size_t n = ct.in_port.size();
+        std::uint32_t k = ct.first_fire[ov.target];
+        while (k != invalid_index) {
+            std::uint64_t state = ct.state_before[k];
+            do {
+                const std::uint64_t obs = flat_step(
+                    cs, spec, state, ct.in_port[k], ct.in_sym[k], &ov, 1);
+                if (obs != ct.expected[k])
+                    sig += signature_term(ci, k, obs, ct.expected[k]);
+                ++k;
+            } while (k < n && state != ct.state_before[k]);
+            k = k < n ? next_fire(ct, ov.target, k) : invalid_index;
+        }
+    }
+    return sig;
+}
+
 }  // namespace
 
 std::uint64_t pack_observation(const observation& o) noexcept {
@@ -211,6 +254,16 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
     cs.packable = packable && machines > 0;
     if (!cs.packable) return cs;  // reference path handles this system
 
+    cs.slot_offset.reserve(cs.total + 1);
+    std::uint32_t slots = 0;
+    for (std::uint32_t d = 0; d < cs.total; ++d) {
+        cs.slot_offset.push_back(slots);
+        const std::uint32_t states = cs.state_count[cs.owner[d]];
+        const std::uint32_t pool = cs.pool_offset[d + 1] - cs.pool_offset[d];
+        slots += states + pool + states * pool;
+    }
+    cs.slot_offset.push_back(slots);
+
     system_state initial;
     initial.states.reserve(machines);
     for (const fsm& m : spec.machines())
@@ -229,6 +282,7 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
         ct.in_port.reserve(n);
         ct.in_sym.reserve(n);
         ct.state_before.reserve(n);
+        ct.expected.reserve(n);
         ct.rep.reserve(n);
         ct.first_fire.assign(cs.total, invalid_index);
         ct.step_off.reserve(n + 1);
@@ -242,6 +296,7 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
             ct.in_sym.push_back(reset ? 0 : in.input.id);
             const std::uint64_t before = cs.pack(trace[k].before);
             ct.state_before.push_back(before);
+            ct.expected.push_back(pack_observation(trace[k].expected));
             const std::uint64_t in_key =
                 (static_cast<std::uint64_t>(ct.in_port.back()) << 32) |
                 ct.in_sym.back();
@@ -354,8 +409,44 @@ candidate_sets materialize_candidate_sets(const compiled_spec& cs,
     return out;
 }
 
+fault_dictionary build_fault_dictionary(const compiled_spec& cs,
+                                        const system& spec) {
+    detail::require(cs.packable,
+                    "fault_dictionary: system states exceed 64 packed bits");
+    fault_dictionary fd;
+    fd.signature.assign(cs.slot_offset.back(), fault_dictionary::no_signature);
+    const auto fill = [&](std::uint32_t slot, const flat_override& ov) {
+        try {
+            fd.signature[slot] = suite_signature(cs, spec, ov);
+        } catch (const error&) {
+            // A chain that throws keeps no signature: Step 5B replays the
+            // hypothesis, which throws (or refutes first) exactly as before.
+        }
+    };
+    for (std::uint32_t d = 0; d < cs.total; ++d) {
+        const std::uint32_t states = cs.state_count[cs.owner[d]];
+        const std::uint32_t pool_begin = cs.pool_offset[d];
+        const std::uint32_t pool = cs.pool_offset[d + 1] - pool_begin;
+        for (std::uint32_t s = 0; s < states; ++s) {
+            if (s == cs.next_state[d]) continue;
+            fill(cs.transfer_slot(d, s), {d, invalid_index, s, invalid_index});
+        }
+        for (std::uint32_t j = 0; j < pool; ++j) {
+            const std::uint32_t out = cs.pool_syms[pool_begin + j].id;
+            if (out == cs.out_sym[d]) continue;
+            fill(cs.output_slot(d, j), {d, out, invalid_index, invalid_index});
+            for (std::uint32_t s = 0; s < states; ++s) {
+                if (s == cs.next_state[d]) continue;
+                fill(cs.output_slot(d, j, s), {d, out, s, invalid_index});
+            }
+        }
+    }
+    return fd;
+}
+
 flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
-                             const symptom_report& report)
+                             const symptom_report& report,
+                             const fault_dictionary* dictionary)
     : cs_(&cs), spec_(&spec) {
     detail::require(cs.packable,
                     "flat_replayer: system states exceed 64 packed bits");
@@ -379,10 +470,24 @@ flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
     memo_epoch_.assign(max_len, 0);
     memo_obs_.resize(max_len);
     memo_after_.resize(max_len);
-}
 
-flat_override flat_replayer::lower(const transition_override& ov) const {
-    return lower_override(*cs_, ov);
+    // The fill covered every case, so a signature compares with the report
+    // only when every case is trusted.  A consistent hypothesis predicts
+    // the observation everywhere, so its nonzero terms sit exactly on the
+    // report's symptom positions.
+    if (!dictionary ||
+        std::any_of(cases_.begin(), cases_.end(),
+                    [](const case_obs& co) { return co.quarantined; }))
+        return;
+    detail::require(dictionary->signature.size() == cs.slot_offset.back(),
+                    "flat_replayer: fault dictionary does not match the "
+                    "compiled suite");
+    signatures_ = dictionary->signature.data();
+    for (std::size_t ci = 0; ci < cases_.size(); ++ci) {
+        for (const std::size_t k : *cases_[ci].symptom_steps)
+            observed_signature_ += signature_term(
+                ci, k, cases_[ci].observed[k], cs.cases[ci].expected[k]);
+    }
 }
 
 std::uint64_t flat_replayer::step(std::uint64_t& state, std::uint32_t port,
@@ -445,12 +550,8 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
     }
 }
 
-bool flat_replayer::consistent(const transition_override& ov) {
-    // Same counter as hypothesis_consistent(): campaign_entry::replays is
-    // part of the entry's identity, so both paths must count identically.
-    detail::note_hypothesis_replay();
-    detail::budget_poll();
-    const flat_override f = lower(ov);
+bool flat_replayer::replay(const transition_override& ov) {
+    const flat_override f = lower_override(*cs_, ov);
     for (std::size_t ci = 0; ci < cases_.size(); ++ci) {
         // Quarantined runs neither support nor refute (mirrors
         // hypothesis_consistent's paths).

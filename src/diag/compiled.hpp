@@ -33,11 +33,18 @@
 // u64 states with epoch-tagged scratch (no per-call allocation) and an
 // inlined stepper (no simulator construction per hypothesis).  Verdicts are
 // exactly hypothesis_consistent()'s.
+//
+// `fault_dictionary` tabulates, once per (spec, suite), a whole-suite
+// signature of every single-transition hypothesis's prediction; a
+// flat_replayer given one refutes a hypothesis whose signature differs
+// from the report's without replaying it (DESIGN.md §5i).
 #pragma once
 
 #include "cfsm/trace.hpp"
 #include "diag/candidates.hpp"
+#include "diag/hypotheses.hpp"
 #include "util/bitset.hpp"
+#include "util/budget.hpp"
 
 namespace cfsmdiag {
 
@@ -63,6 +70,14 @@ struct compiled_spec {
     std::vector<std::uint32_t> pool_offset;
     std::vector<symbol> pool_syms;
 
+    // --- single-transition hypothesis slots (the fault dictionary's index) -
+    /// Dense id d's hypotheses occupy [slot_offset[d], slot_offset[d + 1]):
+    /// transfer to state s at +s, output pool[j] at +S + j, and output
+    /// pool[j] with transfer to s at +S + P + s * P + j (S = states of d's
+    /// machine, P = its pool size).  The slots of the specified next state
+    /// and output exist but are never asked for.
+    std::vector<std::uint32_t> slot_offset;
+
     // --- dispatch tables --------------------------------------------------
     /// Machine m, local state s, input symbol i (< disp_stride[m]):
     /// dispatch[disp_offset[m] + s * disp_stride[m] + i] = dense id or
@@ -85,6 +100,8 @@ struct compiled_spec {
         std::vector<std::uint32_t> in_sym;
         /// Packed spec state before each step.
         std::vector<std::uint64_t> state_before;
+        /// Packed expected (spec) observation of each step.
+        std::vector<std::uint64_t> expected;
         /// (state, input) class representative per step (earliest step with
         /// the same packed before-state and input) — the suffix memo key.
         std::vector<std::uint32_t> rep;
@@ -107,6 +124,23 @@ struct compiled_spec {
         std::uint32_t d) const noexcept {
         const std::uint32_t m = owner[d];
         return {machine_id{m}, transition_id{d - machine_offset[m]}};
+    }
+
+    /// Slot of "d transfers to s".
+    [[nodiscard]] std::uint32_t transfer_slot(std::uint32_t d,
+                                              std::uint32_t s) const noexcept {
+        return slot_offset[d] + s;
+    }
+    /// Slot of "d outputs pool[j]" (s == invalid_index) or "d outputs
+    /// pool[j] and transfers to s"; invalid_index when j is past d's pool
+    /// (an output the dictionary does not cover).
+    [[nodiscard]] std::uint32_t output_slot(
+        std::uint32_t d, std::uint32_t j,
+        std::uint32_t s = invalid_index) const noexcept {
+        const std::uint32_t pool = pool_offset[d + 1] - pool_offset[d];
+        if (j >= pool) return invalid_index;
+        const std::uint32_t base = slot_offset[d] + state_count[owner[d]];
+        return s == invalid_index ? base + j : base + pool + s * pool + j;
     }
 
     /// Packs a system_state (requires `packable`).
@@ -178,19 +212,59 @@ struct compiled_conflicts {
     const compiled_spec& cs, const symptom_report& report,
     const compiled_conflicts& cc);
 
+/// Step 5B's fault dictionary over one compiled (spec, suite): for every
+/// hypothesis slot (compiled_spec::slot_offset), the sum over the suite
+/// positions where spec ⊕ h's observation differs from the spec's of
+/// term(position, predicted) − term(position, expected), a position-keyed
+/// additive hash.  Equal whole-suite predictions give equal signatures, so
+/// a report whose signature differs refutes the hypothesis.
+struct fault_dictionary {
+    /// A slot without a signature: its fill threw (internal ε, hop budget),
+    /// it is the specified next state or output, or its sum happened to
+    /// equal this value.  Step 5B replays such hypotheses.
+    static constexpr std::uint64_t no_signature = ~std::uint64_t{0};
+
+    std::vector<std::uint64_t> signature;  ///< indexed by slot
+};
+
+/// Fills the dictionary of every slot of `cs` (requires `packable`) with
+/// flat_step, walking each case from the target's first firing and jumping
+/// re-synchronized stretches to its next firing (DESIGN.md §5c).
+[[nodiscard]] fault_dictionary build_fault_dictionary(const compiled_spec& cs,
+                                                      const system& spec);
+
 /// Compiled hypothesis replayer for one symptom report: same verdicts as
 /// the uncached hypothesis_consistent(spec, suite, report, ov), over packed
 /// states.  Each case is resolved by replay_cache's prefix lemma +
 /// re-synchronization (bumping its case-skip/suffix counters), never
-/// replayed from reset.
+/// replayed from reset.  Given a fault dictionary and a report without
+/// quarantined cases, a hypothesis whose slot signature differs from the
+/// report's is refuted without a replay; every other one is replayed.
 ///
 /// Not thread-safe (owns scratch buffers); build one per diagnosis.
 class flat_replayer {
   public:
     flat_replayer(const compiled_spec& cs, const system& spec,
-                  const symptom_report& report);
+                  const symptom_report& report,
+                  const fault_dictionary* dictionary = nullptr);
 
-    [[nodiscard]] bool consistent(const transition_override& ov);
+    /// Whether spec ⊕ `ov` reproduces the report; `slot` is `ov`'s
+    /// dictionary slot, or invalid_index when it has none.
+    [[nodiscard]] bool consistent(const transition_override& ov,
+                                  std::uint32_t slot = invalid_index) {
+        // Same counter as hypothesis_consistent(): campaign_entry::replays
+        // is part of the entry's identity, so every path counts each
+        // hypothesis it checks, refuted by signature or not.
+        detail::note_hypothesis_replay();
+        detail::budget_poll();
+        if (signatures_ && slot != invalid_index) {
+            const std::uint64_t sig = signatures_[slot];
+            if (sig != observed_signature_ &&
+                sig != fault_dictionary::no_signature)
+                return false;
+        }
+        return replay(ov);
+    }
 
   private:
     struct case_obs {
@@ -200,7 +274,7 @@ class flat_replayer {
         bool quarantined = false;
     };
 
-    [[nodiscard]] flat_override lower(const transition_override& ov) const;
+    [[nodiscard]] bool replay(const transition_override& ov);
     /// One global input on the packed state; returns the packed
     /// observation (0 = ε).
     std::uint64_t step(std::uint64_t& state, std::uint32_t port,
@@ -211,6 +285,10 @@ class flat_replayer {
     const compiled_spec* cs_;
     const system* spec_;  ///< error labels only
     std::vector<case_obs> cases_;
+    /// The dictionary's signatures, or nullptr when there is none or the
+    /// report has a quarantined case (whose positions the fill covered).
+    const std::uint64_t* signatures_ = nullptr;
+    std::uint64_t observed_signature_ = 0;
     /// Epoch-tagged suffix memo, indexed by class representative step.
     std::vector<std::uint32_t> memo_epoch_;
     std::vector<std::uint64_t> memo_obs_;

@@ -189,11 +189,13 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     result.timings.candidates = lap(mark);
 
     // Steps 5B-5C.  One replay accelerator per diagnosis, amortized over
-    // every hypothesis check below (including Step 6 escalation).
+    // every hypothesis check below (including Step 6 escalation).  The
+    // context's fault dictionary, when a campaign has built one, refutes
+    // most hypotheses without a replay.
     std::optional<flat_replayer> flat_rep;
     std::optional<replay_cache> cache;
     if (flat) {
-        flat_rep.emplace(cs, spec, result.symptoms);
+        flat_rep.emplace(cs, spec, result.symptoms, ctx.dictionary());
     } else {
         cache.emplace(ctx.make_replay_cache(result.symptoms));
     }

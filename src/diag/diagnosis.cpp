@@ -150,7 +150,9 @@ namespace {
 // Mirrors of end_states / consistent_outputs / consistent_statout /
 // consistent_destinations with identical enumeration order (ascending
 // states, pool order, ascending machines); only the replay mechanism
-// differs, so the surviving hypothesis lists are byte-identical.
+// differs, so the surviving hypothesis lists are byte-identical.  Each
+// check names its fault-dictionary slot; `j0` is the compiled-pool index
+// of `pool[0]` (an output past the compiled pool has no slot).
 
 std::vector<state_id> flat_end_states(const compiled_spec& cs,
                                       flat_replayer& rep,
@@ -160,35 +162,38 @@ std::vector<state_id> flat_end_states(const compiled_spec& cs,
     for (std::uint32_t s = 0; s < cs.state_count[t.machine.value]; ++s) {
         if (s == cs.next_state[d]) continue;
         const transition_override ov{t, std::nullopt, state_id{s}};
-        if (rep.consistent(ov)) out.push_back(state_id{s});
+        if (rep.consistent(ov, cs.transfer_slot(d, s)))
+            out.push_back(state_id{s});
     }
     return out;
 }
 
 std::vector<symbol> flat_outputs(const compiled_spec& cs, flat_replayer& rep,
                                  global_transition_id t, const symbol* pool,
-                                 const symbol* pool_end) {
+                                 const symbol* pool_end, std::uint32_t j0) {
     std::vector<symbol> out;
     const std::uint32_t d = cs.dense_id(t);
-    for (; pool != pool_end; ++pool) {
+    for (std::uint32_t j = j0; pool != pool_end; ++pool, ++j) {
         if (pool->id == cs.out_sym[d]) continue;
         const transition_override ov{t, *pool, std::nullopt};
-        if (rep.consistent(ov)) out.push_back(*pool);
+        if (rep.consistent(ov, cs.output_slot(d, j))) out.push_back(*pool);
     }
     return out;
 }
 
 std::vector<std::pair<state_id, symbol>> flat_statout(
     const compiled_spec& cs, flat_replayer& rep, global_transition_id t,
-    const symbol* pool, const symbol* pool_end) {
+    const symbol* pool, const symbol* pool_end, std::uint32_t j0) {
     std::vector<std::pair<state_id, symbol>> out;
     const std::uint32_t d = cs.dense_id(t);
     for (std::uint32_t s = 0; s < cs.state_count[t.machine.value]; ++s) {
         if (s == cs.next_state[d]) continue;
-        for (const symbol* o = pool; o != pool_end; ++o) {
+        std::uint32_t j = j0;
+        for (const symbol* o = pool; o != pool_end; ++o, ++j) {
             if (o->id == cs.out_sym[d]) continue;
             const transition_override ov{t, *o, state_id{s}};
-            if (rep.consistent(ov)) out.emplace_back(state_id{s}, *o);
+            if (rep.consistent(ov, cs.output_slot(d, j, s)))
+                out.emplace_back(state_id{s}, *o);
         }
     }
     return out;
@@ -230,12 +235,19 @@ diagnostic_candidates evaluate_candidates(const compiled_spec& cs,
 
             if (c.is_ust) {
                 const symbol uso = report.uso.output;
+                // uso's compiled-pool index; the pool size when outside it.
+                const std::uint32_t d = cs.dense_id(gid);
+                const symbol* pool = cs.pool_syms.data() + cs.pool_offset[d];
+                const symbol* pool_end =
+                    cs.pool_syms.data() + cs.pool_offset[d + 1];
+                const auto j = static_cast<std::uint32_t>(
+                    std::find(pool, pool_end, uso) - pool);
                 if (report.flag) {
                     c.statout = flat_statout(cs, replayer, gid, &uso,
-                                             &uso + 1);
+                                             &uso + 1, j);
                 } else {
                     c.outputs = flat_outputs(cs, replayer, gid, &uso,
-                                             &uso + 1);
+                                             &uso + 1, j);
                 }
             } else {
                 const bool in_ftctr = std::binary_search(
@@ -253,10 +265,10 @@ diagnostic_candidates evaluate_candidates(const compiled_spec& cs,
                         cs.pool_syms.data() + cs.pool_offset[d + 1];
                     if (report.flag) {
                         c.statout = flat_statout(cs, replayer, gid, pool,
-                                                 pool_end);
+                                                 pool_end, 0);
                     } else {
                         c.outputs = flat_outputs(cs, replayer, gid, pool,
-                                                 pool_end);
+                                                 pool_end, 0);
                     }
                 }
             }
@@ -294,9 +306,9 @@ diagnostic_candidates evaluate_candidates_escalated(
 
             c.end_states = flat_end_states(cs, replayer, gid);
             c.outputs = flat_outputs(cs, replayer, gid, pool.data(),
-                                     pool.data() + pool.size());
+                                     pool.data() + pool.size(), 0);
             c.statout = flat_statout(cs, replayer, gid, pool.data(),
-                                     pool.data() + pool.size());
+                                     pool.data() + pool.size(), 0);
             if (include_addressing) {
                 c.destinations = flat_destinations(cs, replayer, gid);
             }

@@ -4,16 +4,6 @@
 
 namespace cfsmdiag {
 
-namespace {
-thread_local std::size_t replay_count = 0;
-}  // namespace
-
-std::size_t hypothesis_replays() noexcept { return replay_count; }
-
-namespace detail {
-void note_hypothesis_replay() noexcept { ++replay_count; }
-}  // namespace detail
-
 std::size_t simulated_steps() noexcept {
     return detail::simulated_step_count;
 }
@@ -22,7 +12,7 @@ bool hypothesis_consistent(const system& spec, const test_suite& suite,
                            const symptom_report& report,
                            const transition_override& ov,
                            const replay_cache* cache) {
-    ++replay_count;
+    detail::note_hypothesis_replay();
     detail::budget_poll();
     if (cache) return cache->consistent(ov);
     simulator sim(spec, ov);

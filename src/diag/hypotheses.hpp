@@ -37,13 +37,27 @@ namespace cfsmdiag {
                                          const transition_override& ov,
                                          const replay_cache* cache = nullptr);
 
+namespace detail {
+inline constinit thread_local std::size_t replay_count = 0;
+
+/// Bumps the hypothesis_replays() counter.  The compiled core
+/// (flat_replayer) checks hypotheses without going through
+/// hypothesis_consistent(); it calls this so the per-fault replay counts —
+/// part of a campaign entry's identity — stay equal across paths.  Inline:
+/// it runs once per Step 5B hypothesis.
+inline void note_hypothesis_replay() noexcept { ++replay_count; }
+}  // namespace detail
+
 /// Number of hypothesis replays (`hypothesis_consistent` calls) performed
 /// by the *calling thread* so far.  Thread-local, so parallel campaign
 /// workers get attributable per-fault counts without synchronization; the
 /// count is monotone — snapshot before and after a diagnose() run and
 /// subtract.  Cached, uncached and compiled replays count alike, so the
-/// count is the same on every Step 5B path.
-[[nodiscard]] std::size_t hypothesis_replays() noexcept;
+/// count is the same on every Step 5B path, and a hypothesis the fault
+/// dictionary refutes without a replay still counts.
+[[nodiscard]] inline std::size_t hypothesis_replays() noexcept {
+    return detail::replay_count;
+}
 
 /// Simulator steps (`simulator::apply` calls) performed by the calling
 /// thread so far.  Same thread-local snapshot-and-subtract protocol as
@@ -51,13 +65,6 @@ namespace cfsmdiag {
 /// observable (replays stay constant, steps drop).
 [[nodiscard]] std::size_t simulated_steps() noexcept;
 
-namespace detail {
-/// Bumps the hypothesis_replays() counter.  The compiled core
-/// (flat_replayer) checks hypotheses without going through
-/// hypothesis_consistent(); it calls this so the per-fault replay counts —
-/// part of a campaign entry's identity — stay equal across paths.
-void note_hypothesis_replay() noexcept;
-}  // namespace detail
 
 /// findendingstates for one transition.
 [[nodiscard]] std::vector<state_id> end_states(const system& spec,

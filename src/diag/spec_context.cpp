@@ -21,6 +21,19 @@ spec_context::spec_context(const system& spec, test_suite suite,
     discrim_ = std::make_unique<discrim_engine>(compiled_, *spec_);
 }
 
+const fault_dictionary* spec_context::dictionary() const {
+    const std::lock_guard<std::mutex> lock(dictionary_mutex_);
+    return dictionary_.get();
+}
+
+void spec_context::build_dictionary() const {
+    if (!compiled_.packable) return;
+    const std::lock_guard<std::mutex> lock(dictionary_mutex_);
+    if (dictionary_) return;
+    dictionary_ = std::make_unique<const fault_dictionary>(
+        build_fault_dictionary(compiled_, *spec_));
+}
+
 replay_cache spec_context::make_replay_cache(
     const symptom_report& report) const {
     return replay_cache(*spec_, suite_, report);

@@ -11,12 +11,18 @@
 //   - the Step-1 spec traces of every case (one replay, ever),
 //   - the flat compiled core (diag/compiled.hpp): dense transition tables,
 //     dispatch tables, admissible-output pools, per-case firing indexes and
-//     the u64 state packing the per-fault hot path runs on.
+//     the u64 state packing the per-fault hot path runs on,
+//   - Step 5B's fault dictionary (DESIGN.md §5i), built lazily: only
+//     campaign_engine::run() asks for it, once per context, so a one-shot
+//     diagnose() never pays for a fill it could not amortize.
 //
-// The context is immutable after construction and holds no per-diagnosis
-// scratch, so one instance may be shared by const reference across campaign
-// worker threads.  Per-diagnosis state (bit arenas, flat replayers, replay
-// caches) is created per call — see diagnose(const spec_context&, ...).
+// The context holds no per-diagnosis scratch, and every member except the
+// dictionary is fixed at construction; the dictionary is built once and
+// read under its lock, and the discrimination engine's caches synchronize
+// themselves.  So one instance may be shared by const reference
+// across campaign worker threads and across engines.  Per-diagnosis state
+// (bit arenas, flat replayers, replay caches) is created per call — see
+// diagnose(const spec_context&, ...).
 //
 // Construction of replay_cache lives here (make_replay_cache) because the
 // cache's correctness depends on the report having been collected against
@@ -25,6 +31,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 
 #include "diag/compiled.hpp"
 #include "diag/discrim_engine.hpp"
@@ -67,6 +74,17 @@ class spec_context {
         return *discrim_;
     }
 
+    /// Step 5B's fault dictionary, or nullptr until build_dictionary() has
+    /// run on this context (and always on a context whose states do not
+    /// pack).  diagnose() uses it when it exists and never builds it.
+    [[nodiscard]] const fault_dictionary* dictionary() const;
+
+    /// Fills the fault dictionary unless it exists; concurrent callers wait
+    /// for the one fill.  A no-op on a context whose states do not pack.
+    /// campaign_engine::run() calls it before its workers start, so no
+    /// entry pays for the fill or is budgeted for it.
+    void build_dictionary() const;
+
     /// Total trace steps across the suite (the simulation cost of Step 1,
     /// incurred once at construction; campaign metrics account for it).
     [[nodiscard]] std::size_t trace_steps() const noexcept {
@@ -85,6 +103,8 @@ class spec_context {
     std::size_t trace_steps_ = 0;
     compiled_spec compiled_;
     std::unique_ptr<discrim_engine> discrim_;
+    mutable std::mutex dictionary_mutex_;
+    mutable std::unique_ptr<const fault_dictionary> dictionary_;
 };
 
 }  // namespace cfsmdiag

@@ -396,6 +396,15 @@ const campaign_stats& campaign_engine::run() {
 
     std::exception_ptr interrupt;
     try {
+    // Step 5B's fault dictionary (DESIGN.md §5i): filled by the first run
+    // on this context, after the watchdog starts (the campaign deadline
+    // covers the fill) and before any entry's budget exists.  Its flat
+    // steps join this run's simulated steps, like the trace steps above.
+    if (n > 0) {
+        const std::size_t fill_base = simulated_steps();
+        ctx_->build_dictionary();
+        metrics_.simulated_steps += simulated_steps() - fill_base;
+    }
     parallel_for(n, metrics_.jobs, [&](std::size_t k) {
         const std::size_t i = order[k];
         stage_timings stage;

@@ -135,6 +135,8 @@ class campaign_engine {
     void attach(campaign_observer& observer);
 
     /// Runs the campaign; returns the merged stats (also via stats()).
+    /// Before its workers start, it fills the context's fault dictionary
+    /// unless an earlier run on the context did (DESIGN.md §5i).
     const campaign_stats& run();
 
     /// Results of the last run().  Empty-default before the first run.

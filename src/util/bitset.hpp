@@ -232,13 +232,16 @@ class dyn_bitset {
 /// queries over the same universe pays one store per insert and nothing per
 /// reset.  The discrimination engine's joint-BFS visited set is the
 /// motivating use: thousands of searches per campaign over the same packed
-/// product space, each needing a fresh set.
+/// product space, each needing a fresh set.  Tags are one byte: a thread
+/// keeps its set for its lifetime and a search visits a few dozen of its
+/// up to millions of elements, so memory, not the clear every 255
+/// searches, is the cost that matters.
 class epoch_set {
   public:
     /// Starts a fresh query over `universe` elements.  Grows (never
     /// shrinks) the backing store; previous contents are dropped in O(1)
-    /// except on epoch-counter wraparound, where one full clear keeps
-    /// stale tags from a prior generation unreadable.
+    /// except on epoch-counter wraparound (every 255 queries), where one
+    /// full clear keeps stale tags from a prior generation unreadable.
     void begin(std::size_t universe) {
         if (++epoch_ == 0) {
             std::fill(tags_.begin(), tags_.end(), 0);
@@ -260,8 +263,8 @@ class epoch_set {
     }
 
   private:
-    std::vector<std::uint32_t> tags_;
-    std::uint32_t epoch_ = 0;
+    std::vector<std::uint8_t> tags_;
+    std::uint8_t epoch_ = 0;
 };
 
 }  // namespace cfsmdiag

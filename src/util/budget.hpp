@@ -197,10 +197,15 @@ class run_budget {
 
 namespace detail {
 
+inline constinit thread_local const run_budget* installed_budget = nullptr;
+
 /// The thread's installed budget, or nullptr.  A thread-local slot rather
 /// than a parameter: the poll sites sit many layers below diagnose() and
-/// the counters in diag/hypotheses already established the idiom.
-[[nodiscard]] const run_budget*& current_budget() noexcept;
+/// the counters in diag/hypotheses already established the idiom.  Inline,
+/// so a poll from a per-hypothesis loop is a load and a branch, not a call.
+[[nodiscard]] inline const run_budget*& current_budget() noexcept {
+    return installed_budget;
+}
 
 /// Cheap poll from deep loops; no-op when no budget is installed.
 inline void budget_poll() {

@@ -1,7 +1,8 @@
 // util/bitset.hpp: dyn_bitset set algebra against a std::set reference
 // (including empty-set and full-universe edges and word-boundary widths),
-// arena-backed storage stability, and the ascending-iteration property the
-// compiled core's reporting boundary relies on.
+// arena-backed storage stability, the ascending-iteration property the
+// compiled core's reporting boundary relies on, and epoch_set's one-byte
+// tags across their wraparound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,6 +192,22 @@ TEST(dyn_bitset, moves_preserve_arena_backing) {
     for (std::size_t i = 0; i < sets.size(); ++i) {
         EXPECT_TRUE(sets[i].test(i)) << i;
         EXPECT_EQ(sets[i].count(), 1u) << i;
+    }
+}
+
+TEST(epoch_set, wraparound_never_reads_stale_tags) {
+    // Query q inserts element q, so the tag of element 0 still holds the
+    // first query's epoch when the one-byte counter comes round to it
+    // again: only the wraparound clear keeps it from reading as present.
+    constexpr std::size_t queries = 300;
+    epoch_set set;
+    for (std::size_t q = 0; q < queries; ++q) {
+        set.begin(queries);
+        for (std::size_t v = 0; v < queries; ++v)
+            ASSERT_FALSE(set.contains(v)) << "query " << q << ", element " << v;
+        EXPECT_TRUE(set.insert(q));
+        EXPECT_FALSE(set.insert(q));
+        EXPECT_TRUE(set.contains(q));
     }
 }
 

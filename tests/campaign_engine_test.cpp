@@ -1,6 +1,6 @@
 // The parallel campaign engine: determinism across thread counts, ordered
-// observer delivery, the run_campaign() wrapper contract, and the worker
-// pool underneath it.
+// observer delivery, the run_campaign() wrapper contract, engines sharing
+// one context and its fault dictionary, and the worker pool underneath it.
 //
 // The determinism tests are the load-bearing ones: the engine promises that
 // an N-thread campaign is entry-for-entry identical to a serial one, which
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "cfsmdiag.hpp"
 #include "helpers.hpp"
@@ -220,6 +221,48 @@ TEST(campaign_engine, campaign_json_is_well_formed) {
     EXPECT_NE(dump.find("\"cost\""), std::string::npos);
     EXPECT_NE(dump.find("\"entries\""), std::string::npos);
     EXPECT_NE(dump.find("\"replays\""), std::string::npos);
+}
+
+TEST(campaign_engine, engines_sharing_a_context_match_a_serial_run) {
+    // Two engines race to fill one context's fault dictionary and then
+    // diagnose against it; each must produce what a serial run on a fresh
+    // context produces.  (Under TSan this is the dictionary's race check.)
+    const auto fx = campaign_fixture::make(108, 40);
+    campaign_engine serial(fx.sys, fx.suite, fx.faults, {});
+    const std::vector<campaign_entry> expected = serial.run().entries;
+
+    const spec_context shared(fx.sys, fx.suite);
+    campaign_options opts;
+    opts.jobs = 2;
+    campaign_engine a(shared, fx.faults, opts);
+    campaign_engine b(shared, fx.faults, opts);
+    std::thread ta([&] { (void)a.run(); });
+    std::thread tb([&] { (void)b.run(); });
+    ta.join();
+    tb.join();
+    EXPECT_NE(shared.dictionary(), nullptr);
+    EXPECT_EQ(a.stats().entries, expected);
+    EXPECT_EQ(b.stats().entries, expected);
+}
+
+TEST(campaign_engine, only_a_campaign_builds_the_fault_dictionary) {
+    const auto fx = campaign_fixture::make(109, 10);
+    const spec_context ctx(fx.sys, fx.suite);
+    ASSERT_TRUE(ctx.compiled().packable);
+    for (const auto& fault : fx.faults) {
+        simulated_iut iut(fx.sys, fault);
+        (void)diagnose(ctx, iut);
+    }
+    EXPECT_EQ(ctx.dictionary(), nullptr);
+
+    campaign_engine engine(ctx, fx.faults, {});
+    (void)engine.run();
+    const fault_dictionary* built = ctx.dictionary();
+    ASSERT_NE(built, nullptr);
+    // A second campaign on the context reuses it.
+    campaign_engine again(ctx, fx.faults, {});
+    EXPECT_EQ(again.run().entries, engine.stats().entries);
+    EXPECT_EQ(ctx.dictionary(), built);
 }
 
 TEST(thread_pool, parallel_for_visits_every_index_once) {

@@ -1,7 +1,8 @@
 // The replay cache (diag/replay_cache.hpp): firing index and snapshot
-// correctness, verdict equivalence with the uncached full replay, and — the
-// load-bearing contract — diagnose()/run_campaign() results equal to the
-// uncached oracle (tests/reference_oracle.hpp), on the paper example,
+// correctness, verdict equivalence with the uncached full replay (for the
+// cache, flat_replayer, and flat_replayer with the fault dictionary), and —
+// the load-bearing contract — diagnose()/run_campaign() results equal to
+// the uncached oracle (tests/reference_oracle.hpp), on the paper example,
 // across random systems, and on a system too wide for the compiled core,
 // where the reference Steps with the cache are the only path.
 #include <gtest/gtest.h>
@@ -78,6 +79,96 @@ TEST(replay_cache, snapshot_restore_reproduces_spec_suffix) {
     }
 }
 
+/// The fault-dictionary slot of a fault of the single-transition universe.
+std::uint32_t slot_of(const compiled_spec& cs,
+                      const single_transition_fault& f) {
+    const std::uint32_t d = cs.dense_id(f.target);
+    if (!f.faulty_output) return cs.transfer_slot(d, f.faulty_next->value);
+    const symbol* pool = cs.pool_syms.data() + cs.pool_offset[d];
+    const symbol* pool_end = cs.pool_syms.data() + cs.pool_offset[d + 1];
+    const auto j = static_cast<std::uint32_t>(
+        std::find(pool, pool_end, *f.faulty_output) - pool);
+    return cs.output_slot(d, j,
+                          f.faulty_next ? f.faulty_next->value
+                                        : invalid_index);
+}
+
+/// A check's verdict, or what it threw.
+template <class Check>
+std::string outcome(Check&& check) {
+    try {
+        return check() ? "consistent" : "refuted";
+    } catch (const error& e) {
+        return std::string("threw: ") + e.what();
+    }
+}
+
+/// flat_replayer with the context's fault dictionary against flat_replayer
+/// without it, on `report` and every hypothesis of the universe; with
+/// `oracle`, both against the uncached hypothesis_consistent too.
+/// Returns how many checks threw.
+std::size_t expect_dictionary_identity(const spec_context& ctx,
+                                       const symptom_report& report,
+                                       bool oracle) {
+    const system& spec = ctx.spec();
+    flat_replayer plain(ctx.compiled(), spec, report);
+    flat_replayer fast(ctx.compiled(), spec, report, ctx.dictionary());
+    std::size_t threw = 0;
+    for (const auto& h : enumerate_all_faults(spec)) {
+        const transition_override ov = h.to_override();
+        const std::string expected =
+            outcome([&] { return plain.consistent(ov); });
+        EXPECT_EQ(outcome([&] {
+                      return fast.consistent(ov, slot_of(ctx.compiled(), h));
+                  }),
+                  expected)
+            << describe(spec, h);
+        if (oracle) {
+            EXPECT_EQ(outcome([&] {
+                          return hypothesis_consistent(spec, ctx.suite(),
+                                                       report, ov);
+                      }),
+                      expected)
+                << describe(spec, h);
+        }
+        threw += expected.starts_with("threw");
+    }
+    return threw;
+}
+
+/// `report` with its first symptomatic case quarantined, as
+/// collect_symptoms records an untrusted run.
+symptom_report quarantine_first_symptomatic(symptom_report report) {
+    const std::size_t ci = report.symptomatic_cases.front();
+    executed_case& run = report.runs[ci];
+    run.quarantined = true;
+    run.quarantine_reason = "no majority";
+    run.symptom_steps.clear();
+    run.first_symptom.reset();
+    run.symptom_transition.reset();
+    report.symptomatic_cases.erase(report.symptomatic_cases.begin());
+    report.quarantined_cases.push_back(ci);
+    return report;
+}
+
+/// Two machines that ping-pong m1/m2 forever once B reaches q1, which the
+/// spec never does: a transfer fault into q1 makes the next `go` exceed the
+/// internal hop budget.
+system make_ping_pong_system() {
+    symbol_table symbols;
+    fsm_builder a("A", symbols);
+    a.internal("a1", "s0", "go", "m1", "s0", machine_id{1});
+    a.internal("a2", "s0", "m2", "m1", "s0", machine_id{1});
+    fsm_builder b("B", symbols);
+    b.external("b1", "q0", "m1", "x", "q0");
+    b.external("b3", "q0", "p", "y", "q0");
+    b.internal("b2", "q1", "m1", "m2", "q1", machine_id{0});
+    std::vector<fsm> machines;
+    machines.push_back(a.build("s0"));
+    machines.push_back(b.build("q0"));
+    return system("ping_pong", std::move(symbols), std::move(machines));
+}
+
 TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
     // The cache and its compiled twin, flat_replayer, against the uncached
     // full replay.
@@ -94,6 +185,89 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
         EXPECT_EQ(cache.consistent(ov), uncached);
         EXPECT_EQ(flat.consistent(ov), uncached);
     }
+
+    // The fault dictionary: flat_replayer refuting by signature must agree
+    // with flat_replayer replaying, on every report of a zoo model and of
+    // 20 random systems and every hypothesis of the universe; every 7th
+    // report also against the uncached replay.
+    ctx.build_dictionary();
+    ASSERT_NE(ctx.dictionary(), nullptr);
+    expect_dictionary_identity(ctx, fx.report, true);
+
+    const system zoo = models::sliding_window(4);
+    const spec_context zoo_ctx(zoo, transition_tour(zoo).suite);
+    zoo_ctx.build_dictionary();
+    const auto zoo_faults = enumerate_all_faults(zoo);
+    for (std::size_t i = 0; i < zoo_faults.size(); ++i) {
+        SCOPED_TRACE("sliding_window(4), IUT " +
+                     describe(zoo, zoo_faults[i]));
+        simulated_iut iut(zoo, zoo_faults[i]);
+        const symptom_report report = collect_symptoms(
+            zoo, zoo_ctx.suite(), iut, &zoo_ctx.traces());
+        expect_dictionary_identity(zoo_ctx, report, i % 7 == 0);
+    }
+
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        rng random(seed);
+        random_system_options opts;
+        opts.machines = 2;
+        opts.states_per_machine = 3;
+        opts.extra_transitions = 4;
+        const system sys = random_system(opts, random);
+        test_suite suite = transition_tour(sys).suite;
+        rng walk(seed + 1000);
+        suite.extend(random_walk_suite(
+            sys, walk, {.cases = 2, .steps_per_case = 8}));
+        const spec_context rctx(sys, suite);
+        rctx.build_dictionary();
+        const auto faults = enumerate_all_faults(sys);
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", IUT " +
+                         describe(sys, faults[i]));
+            simulated_iut iut(sys, faults[i]);
+            const symptom_report report =
+                collect_symptoms(sys, suite, iut, &rctx.traces());
+            expect_dictionary_identity(rctx, report, i % 7 == 0);
+            // A quarantined case's positions are in every signature, so
+            // the dictionary must stand aside for such a report (one that
+            // keeps a trusted symptom, so it would still reach Step 5B).
+            if (report.symptomatic_cases.size() > 1)
+                expect_dictionary_identity(
+                    rctx, quarantine_first_symptomatic(report), i % 7 == 0);
+        }
+    }
+
+    // A hypothesis whose chain exceeds the hop budget has no signature;
+    // both paths then throw, or refute before the throwing step, alike.
+    const system pp = make_ping_pong_system();
+    const auto at = [&](std::size_t m, const char* sym) {
+        return global_input::at(machine_id{static_cast<std::uint32_t>(m)},
+                                pp.symbols().lookup(sym));
+    };
+    test_suite pp_suite;
+    pp_suite.add(test_case::from_inputs(
+        "t1", {at(0, "go"), at(1, "p"), at(0, "go")}));
+    pp_suite.add(test_case::from_inputs("t2", {at(1, "p"), at(0, "go")}));
+    const spec_context pp_ctx(pp, pp_suite);
+    pp_ctx.build_dictionary();
+    const single_transition_fault livelock{
+        {machine_id{1}, transition_id{0}}, std::nullopt, state_id{1}};
+    EXPECT_EQ(pp_ctx.dictionary()->signature[slot_of(pp_ctx.compiled(),
+                                                     livelock)],
+              fault_dictionary::no_signature);
+    std::size_t threw = 0;
+    for (const auto& fault : enumerate_all_faults(pp)) {
+        SCOPED_TRACE("ping_pong, IUT " + describe(pp, fault));
+        simulated_iut iut(pp, fault);
+        symptom_report report;
+        try {
+            report = collect_symptoms(pp, pp_suite, iut, &pp_ctx.traces());
+        } catch (const budget_exceeded&) {
+            continue;  // the IUT itself livelocks
+        }
+        threw += expect_dictionary_identity(pp_ctx, report, true);
+    }
+    EXPECT_GT(threw, 0u);
 }
 
 TEST(replay_cache, multi_override_verdict_equals_full_replay) {

@@ -80,9 +80,12 @@ echo "=== [tsan] run ==="
 # shared across campaign workers — the jobs-2 identity and
 # counter-determinism tests are the racy surface.
 "${tsan_dir}/tests/discrim_engine_test"
-# The compiled core is shared read-only across workers (one spec_context per
-# engine); the bitset/property tests run here to catch races in the arena
-# and table sharing.
+# The compiled core is shared across workers (one spec_context per engine,
+# or several engines on one context).  Its tables are fixed at construction;
+# its fault dictionary is a member built once, lazily, by the first
+# campaign run and published to the others (campaign_engine_test's
+# shared-context test races two engines on that fill).  The bitset/property
+# tests run here to catch races in the arena and table sharing.
 "${tsan_dir}/tests/bitset_test"
 "${tsan_dir}/tests/property_test" \
       --gtest_filter='compiled_core.*'
@@ -103,7 +106,7 @@ cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [asan+ubsan] build resilience tests ==="
 cmake --build "${asan_dir}" -j "${JOBS}" \
       --target resilience_test checkpoint_test bitset_test property_test \
-      discrim_engine_test budget_test cfsmdiag_cli fuzz_io
+      discrim_engine_test budget_test replay_cache_test cfsmdiag_cli fuzz_io
 echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/resilience_test"
 # The checkpoint layer's POSIX fd handling (spill truncate/append/fsync),
@@ -123,6 +126,10 @@ echo "=== [asan+ubsan] run ==="
 # memory quotas) run under both.
 "${asan_dir}/tests/discrim_engine_test"
 "${asan_dir}/tests/budget_test"
+# The fault dictionary's fill steps mutated chains through states the spec
+# never reaches and indexes its slots arithmetically; the replay identity
+# test checks every slot of a zoo model and 20 random systems.
+"${asan_dir}/tests/replay_cache_test"
 "${asan_dir}/tools/cfsmdiag" campaign examples/data/figure1.cfsm \
       --max-faults 20 --jobs 2 --seed 7 \
       --flaky 0.05 --retries 3 >/dev/null
