@@ -17,7 +17,10 @@ std::string set_str(const cfsmdiag::symbol_table& sym,
     std::vector<std::string> names;
     for (auto s : v) names.push_back(sym.name(s));
     std::sort(names.begin(), names.end());
-    return "{" + cfsmdiag::join(names, ", ") + "}";
+    std::string out = "{";
+    out += cfsmdiag::join(names, ", ");
+    out += '}';
+    return out;
 }
 
 }  // namespace

@@ -50,6 +50,12 @@ int main() {
                  "empty\n";
     std::cout << "reproduced:\n";
     text_table t5({"candidate", "EndStates", "outputs", "statout", "role"});
+    const auto braced = [](const std::vector<std::string>& items) {
+        std::string out = "{";
+        out += join(items, ",");
+        out += '}';
+        return out;
+    };
     for (const auto& c : result.evaluated.evaluated) {
         const fsm& m = ex.spec.machine(c.id.machine);
         std::vector<std::string> es, os, so;
@@ -57,10 +63,8 @@ int main() {
         for (auto o : c.outputs) os.push_back(sym.name(o));
         for (auto& [s, o] : c.statout)
             so.push_back("(" + m.state_name(s) + "," + sym.name(o) + ")");
-        t5.add_row({ex.spec.transition_label(c.id),
-                    "{" + join(es, ",") + "}", "{" + join(os, ",") + "}",
-                    "{" + join(so, ",") + "}",
-                    c.is_ust ? "ust" : ""});
+        t5.add_row({ex.spec.transition_label(c.id), braced(es), braced(os),
+                    braced(so), c.is_ust ? "ust" : ""});
     }
     std::cout << t5 << "\n";
 

@@ -87,7 +87,7 @@ void bm_replay_cache(benchmark::State& state) {
 BENCHMARK(bm_replay_cache)->Arg(3)->Arg(5)->Arg(8);
 
 /// The same consistency check through the compiled flat core: dense tables,
-/// packed u64 states, epoch-tagged scratch.  Compare against
+/// packed states, epoch-tagged scratch.  Compare against
 /// bm_hypothesis_replay and bm_replay_cache at equal Arg — the gap over the
 /// cache is pure interpretation overhead the lowering removes.  Table build
 /// cost sits outside the timed loop, as in a campaign where one
@@ -99,7 +99,7 @@ void bm_flat_core(benchmark::State& state) {
     const auto fault = pick_fault(spec, suite);
     simulated_iut iut(spec, fault);
     const spec_context ctx(spec, suite);
-    const auto report = collect_symptoms(spec, suite, iut, &ctx.traces());
+    const auto report = collect_symptoms(spec, suite, iut, ctx.traces());
     flat_replayer replayer(ctx.compiled(), spec, report);
     const transition_override ov = fault.to_override();
     for (auto _ : state) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <map>
+#include <set>
 #include <string>
 
 #include "cfsm/alphabet.hpp"
@@ -38,6 +38,15 @@ std::uint32_t next_fire(const compiled_spec::case_tables& ct,
     return it == end ? invalid_index : *it;
 }
 
+/// Whether the `w`-word states at `a` and `b` are equal (one compare when
+/// `w` is the constant of a one-word kernel).
+bool same_state(const std::uint64_t* a, const std::uint64_t* b,
+                std::size_t w) noexcept {
+    for (std::size_t i = 0; i < w; ++i)
+        if (a[i] != b[i]) return false;
+    return true;
+}
+
 /// Splitmix64's finalizer.
 std::uint64_t mix64(std::uint64_t z) noexcept {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -59,26 +68,66 @@ std::uint64_t signature_term(std::size_t ci, std::size_t k,
 /// one, the mutated run equals the spec run (the prefix and
 /// re-synchronization lemmas), so only the stretches in between are
 /// stepped.  Throws what flat_step throws.
+template <std::size_t W>
 std::uint64_t suite_signature(const compiled_spec& cs, const system& spec,
                               const flat_override& ov) {
+    const std::size_t w = cs.words_in<W>();
+    std::uint64_t one_word[1];
+    std::vector<std::uint64_t> wide(W == 1 ? 0 : w);
+    std::uint64_t* const state = W == 1 ? one_word : wide.data();
     std::uint64_t sig = 0;
     for (std::size_t ci = 0; ci < cs.cases.size(); ++ci) {
         const compiled_spec::case_tables& ct = cs.cases[ci];
+        const std::uint64_t* const before = ct.state_before.data();
         const std::size_t n = ct.in_port.size();
         std::uint32_t k = ct.first_fire[ov.target];
         while (k != invalid_index) {
-            std::uint64_t state = ct.state_before[k];
+            std::copy_n(before + k * w, w, state);
             do {
-                const std::uint64_t obs = flat_step(
+                const std::uint64_t obs = flat_step<W>(
                     cs, spec, state, ct.in_port[k], ct.in_sym[k], &ov, 1);
                 if (obs != ct.expected[k])
                     sig += signature_term(ci, k, obs, ct.expected[k]);
                 ++k;
-            } while (k < n && state != ct.state_before[k]);
+            } while (k < n && !same_state(state, before + k * w, w));
             k = k < n ? next_fire(ct, ov.target, k) : invalid_index;
         }
     }
     return sig;
+}
+
+template <std::size_t W>
+fault_dictionary fill_fault_dictionary(const compiled_spec& cs,
+                                       const system& spec) {
+    fault_dictionary fd;
+    fd.signature.assign(cs.slot_offset.back(), fault_dictionary::no_signature);
+    const auto fill = [&](std::uint32_t slot, const flat_override& ov) {
+        try {
+            fd.signature[slot] = suite_signature<W>(cs, spec, ov);
+        } catch (const error&) {
+            // A chain that throws keeps no signature: Step 5B replays the
+            // hypothesis, which throws (or refutes first) exactly as before.
+        }
+    };
+    for (std::uint32_t d = 0; d < cs.total; ++d) {
+        const std::uint32_t states = cs.state_count[cs.owner[d]];
+        const std::uint32_t pool_begin = cs.pool_offset[d];
+        const std::uint32_t pool = cs.pool_offset[d + 1] - pool_begin;
+        for (std::uint32_t s = 0; s < states; ++s) {
+            if (s == cs.next_state[d]) continue;
+            fill(cs.transfer_slot(d, s), {d, invalid_index, s, invalid_index});
+        }
+        for (std::uint32_t j = 0; j < pool; ++j) {
+            const std::uint32_t out = cs.pool_syms[pool_begin + j].id;
+            if (out == cs.out_sym[d]) continue;
+            fill(cs.output_slot(d, j), {d, out, invalid_index, invalid_index});
+            for (std::uint32_t s = 0; s < states; ++s) {
+                if (s == cs.next_state[d]) continue;
+                fill(cs.output_slot(d, j, s), {d, out, s, invalid_index});
+            }
+        }
+    }
+    return fd;
 }
 
 }  // namespace
@@ -113,22 +162,24 @@ flat_override lower_override(const compiled_spec& cs,
     return f;
 }
 
+template <std::size_t W>
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
-                        std::uint64_t& state, std::uint32_t port,
+                        std::uint64_t* state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
                         std::size_t ov_count, bool* fired, bool* target_hit) {
     ++detail::simulated_step_count;
     if (fired) *fired = false;
     if (target_hit) *target_hit = false;
     if (port == invalid_index) {  // reset
-        state = cs.initial_packed;
+        std::copy_n(cs.initial_packed.data(), cs.words_in<W>(), state);
         return 0;
     }
     std::uint32_t current = port;
     std::uint32_t msg = sym;
     for (std::size_t hop = 0; hop <= default_hop_budget; ++hop) {
+        std::uint64_t& word = state[cs.word_of<W>(current)];
         const std::uint32_t s = static_cast<std::uint32_t>(
-            (state >> cs.state_shift[current]) & cs.state_mask[current]);
+            (word >> cs.state_shift[current]) & cs.state_mask[current]);
         std::uint32_t d = invalid_index;
         if (msg < cs.disp_stride[current] && s < cs.state_count[current])
             d = cs.dispatch[cs.disp_offset[current] +
@@ -148,9 +199,8 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                                        : cs.next_state[d];
         const std::uint32_t out =
             hit && hit->out != invalid_index ? hit->out : cs.out_sym[d];
-        state =
-            (state & ~(cs.state_mask[current] << cs.state_shift[current])) |
-            (static_cast<std::uint64_t>(next) << cs.state_shift[current]);
+        word = (word & ~(cs.state_mask[current] << cs.state_shift[current])) |
+               (static_cast<std::uint64_t>(next) << cs.state_shift[current]);
         if (!cs.is_internal[d]) {
             if (out == 0) return 0;
             return (static_cast<std::uint64_t>(current + 1) << 32) | out;
@@ -168,6 +218,14 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
         std::to_string(default_hop_budget) +
         " hops (message cycle?) in system '" + spec.name() + "'");
 }
+
+template std::uint64_t flat_step<1>(const compiled_spec&, const system&,
+                                    std::uint64_t*, std::uint32_t,
+                                    std::uint32_t, const flat_override*,
+                                    std::size_t, bool*, bool*);
+template std::uint64_t flat_step<runtime_words>(
+    const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
+    std::uint32_t, const flat_override*, std::size_t, bool*, bool*);
 
 compiled_spec compile_spec(const system& spec, const test_suite& suite,
                            const suite_traces& traces) {
@@ -218,14 +276,16 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
     }
     cs.pool_offset.push_back(static_cast<std::uint32_t>(cs.pool_syms.size()));
 
-    // Dispatch tables + state packing.
+    // Dispatch tables + state packing: fields in machine order, each in
+    // the first word with room for it.
     cs.disp_offset.reserve(machines);
     cs.disp_stride.reserve(machines);
+    cs.state_word.reserve(machines);
     cs.state_shift.reserve(machines);
     cs.state_mask.reserve(machines);
     cs.state_count.reserve(machines);
+    std::uint32_t word = 0;
     std::uint32_t bit = 0;
-    bool packable = true;
     for (std::uint32_t mi = 0; mi < machines; ++mi) {
         const fsm& m = spec.machine(machine_id{mi});
         const std::size_t states = m.state_count();
@@ -245,14 +305,18 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
         const std::uint32_t width = states <= 1
                                         ? 1
                                         : std::bit_width(states - 1);
+        if (bit + width > 64) {
+            ++word;
+            bit = 0;
+        }
+        cs.state_word.push_back(word);
         cs.state_shift.push_back(bit);
         cs.state_mask.push_back((std::uint64_t{1} << width) - 1);
         cs.state_count.push_back(static_cast<std::uint32_t>(states));
         bit += width;
-        if (bit > 64) packable = false;
     }
-    cs.packable = packable && machines > 0;
-    if (!cs.packable) return cs;  // reference path handles this system
+    cs.words = word + 1;
+    const std::size_t w = cs.words;
 
     cs.slot_offset.reserve(cs.total + 1);
     std::uint32_t slots = 0;
@@ -268,7 +332,8 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
     initial.states.reserve(machines);
     for (const fsm& m : spec.machines())
         initial.states.push_back(m.initial_state());
-    cs.initial_packed = cs.pack(initial);
+    cs.initial_packed.resize(w);
+    cs.pack(initial, cs.initial_packed.data());
 
     // Per-case spec-run tables from the Step-1 traces (no simulation).
     cs.cases.reserve(suite.cases.size());
@@ -281,30 +346,33 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
         const std::size_t n = inputs.size();
         ct.in_port.reserve(n);
         ct.in_sym.reserve(n);
-        ct.state_before.reserve(n);
+        ct.state_before.resize(n * w);
         ct.expected.reserve(n);
         ct.rep.reserve(n);
         ct.first_fire.assign(cs.total, invalid_index);
         ct.step_off.reserve(n + 1);
         std::vector<std::vector<std::uint32_t>> fires(cs.total);
-        std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t>
-            classes;
+        // Steps ordered by (input, packed before-state); a class's
+        // representative is the first step inserted.
+        const auto step_less = [&ct, w](std::uint32_t a, std::uint32_t b) {
+            if (ct.in_port[a] != ct.in_port[b])
+                return ct.in_port[a] < ct.in_port[b];
+            if (ct.in_sym[a] != ct.in_sym[b])
+                return ct.in_sym[a] < ct.in_sym[b];
+            const std::uint64_t* sa = ct.state_before.data() + a * w;
+            const std::uint64_t* sb = ct.state_before.data() + b * w;
+            return std::lexicographical_compare(sa, sa + w, sb, sb + w);
+        };
+        std::set<std::uint32_t, decltype(step_less)> classes(step_less);
         for (std::size_t k = 0; k < n; ++k) {
             const global_input& in = inputs[k];
             const bool reset = in.action == global_input::kind::reset;
             ct.in_port.push_back(reset ? invalid_index : in.port.value);
             ct.in_sym.push_back(reset ? 0 : in.input.id);
-            const std::uint64_t before = cs.pack(trace[k].before);
-            ct.state_before.push_back(before);
+            cs.pack(trace[k].before, ct.state_before.data() + k * w);
             ct.expected.push_back(pack_observation(trace[k].expected));
-            const std::uint64_t in_key =
-                (static_cast<std::uint64_t>(ct.in_port.back()) << 32) |
-                ct.in_sym.back();
             ct.rep.push_back(
-                classes
-                    .try_emplace(std::make_pair(before, in_key),
-                                 static_cast<std::uint32_t>(k))
-                    .first->second);
+                *classes.insert(static_cast<std::uint32_t>(k)).first);
             ct.step_off.push_back(
                 static_cast<std::uint32_t>(ct.step_fired.size()));
             for (global_transition_id gid : trace[k].fired) {
@@ -411,45 +479,14 @@ candidate_sets materialize_candidate_sets(const compiled_spec& cs,
 
 fault_dictionary build_fault_dictionary(const compiled_spec& cs,
                                         const system& spec) {
-    detail::require(cs.packable,
-                    "fault_dictionary: system states exceed 64 packed bits");
-    fault_dictionary fd;
-    fd.signature.assign(cs.slot_offset.back(), fault_dictionary::no_signature);
-    const auto fill = [&](std::uint32_t slot, const flat_override& ov) {
-        try {
-            fd.signature[slot] = suite_signature(cs, spec, ov);
-        } catch (const error&) {
-            // A chain that throws keeps no signature: Step 5B replays the
-            // hypothesis, which throws (or refutes first) exactly as before.
-        }
-    };
-    for (std::uint32_t d = 0; d < cs.total; ++d) {
-        const std::uint32_t states = cs.state_count[cs.owner[d]];
-        const std::uint32_t pool_begin = cs.pool_offset[d];
-        const std::uint32_t pool = cs.pool_offset[d + 1] - pool_begin;
-        for (std::uint32_t s = 0; s < states; ++s) {
-            if (s == cs.next_state[d]) continue;
-            fill(cs.transfer_slot(d, s), {d, invalid_index, s, invalid_index});
-        }
-        for (std::uint32_t j = 0; j < pool; ++j) {
-            const std::uint32_t out = cs.pool_syms[pool_begin + j].id;
-            if (out == cs.out_sym[d]) continue;
-            fill(cs.output_slot(d, j), {d, out, invalid_index, invalid_index});
-            for (std::uint32_t s = 0; s < states; ++s) {
-                if (s == cs.next_state[d]) continue;
-                fill(cs.output_slot(d, j, s), {d, out, s, invalid_index});
-            }
-        }
-    }
-    return fd;
+    return cs.words == 1 ? fill_fault_dictionary<1>(cs, spec)
+                         : fill_fault_dictionary<runtime_words>(cs, spec);
 }
 
 flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
                              const symptom_report& report,
                              const fault_dictionary* dictionary)
-    : cs_(&cs), spec_(&spec) {
-    detail::require(cs.packable,
-                    "flat_replayer: system states exceed 64 packed bits");
+    : cs_(&cs), spec_(&spec), state_(cs.words) {
     detail::require(report.runs.size() == cs.cases.size(),
                     "flat_replayer: report does not match compiled suite");
     cases_.reserve(report.runs.size());
@@ -469,7 +506,7 @@ flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
     }
     memo_epoch_.assign(max_len, 0);
     memo_obs_.resize(max_len);
-    memo_after_.resize(max_len);
+    memo_after_.resize(max_len * cs.words);
 
     // The fill covered every case, so a signature compares with the report
     // only when every case is trusted.  A consistent hypothesis predicts
@@ -490,17 +527,14 @@ flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
     }
 }
 
-std::uint64_t flat_replayer::step(std::uint64_t& state, std::uint32_t port,
-                                  std::uint32_t sym,
-                                  const flat_override& ov) const {
-    return flat_step(*cs_, *spec_, state, port, sym, &ov, 1);
-}
-
+template <std::size_t W>
 bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
                                       const flat_override& ov) {
     const compiled_spec::case_tables& ct = cs_->cases[ci];
     const case_obs& co = cases_[ci];
     const std::size_t n = ct.in_port.size();
+    const std::size_t w = cs_->words_in<W>();
+    const std::uint64_t* const before = ct.state_before.data();
 
     detail::note_replay_suffix();
     if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
@@ -509,35 +543,37 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
     }
     ++epoch_;
 
-    std::uint64_t state = 0;
+    std::uint64_t one_word[1];
+    std::uint64_t* const state = W == 1 ? one_word : state_.data();
     std::size_t step_i = f;
     bool synced = true;  // mutated state == spec state entering `step_i`
     while (true) {
         if (synced) {
             const std::uint32_t r = ct.rep[step_i];
+            std::uint64_t* const after = memo_after_.data() + r * w;
             if (memo_epoch_[r] != epoch_) {
-                std::uint64_t s = ct.state_before[step_i];
-                memo_obs_[r] =
-                    step(s, ct.in_port[step_i], ct.in_sym[step_i], ov);
-                memo_after_[r] = s;
+                std::copy_n(before + step_i * w, w, after);
+                memo_obs_[r] = flat_step<W>(*cs_, *spec_, after,
+                                            ct.in_port[step_i],
+                                            ct.in_sym[step_i], &ov, 1);
                 memo_epoch_[r] = epoch_;
             }
             if (memo_obs_[r] != co.observed[step_i]) return false;
-            const std::uint64_t after = memo_after_[r];
             ++step_i;
             if (step_i == n) return true;
-            if (after != ct.state_before[step_i]) {
-                state = after;
+            if (!same_state(after, before + step_i * w, w)) {
+                std::copy_n(after, w, state);
                 synced = false;
                 continue;
             }
         } else {
-            if (step(state, ct.in_port[step_i], ct.in_sym[step_i], ov) !=
+            if (flat_step<W>(*cs_, *spec_, state, ct.in_port[step_i],
+                             ct.in_sym[step_i], &ov, 1) !=
                 co.observed[step_i])
                 return false;
             ++step_i;
             if (step_i == n) return true;
-            if (state != ct.state_before[step_i]) continue;
+            if (!same_state(state, before + step_i * w, w)) continue;
             synced = true;
         }
         // Re-synchronized: mutated == spec until the target next fires, so
@@ -550,8 +586,8 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
     }
 }
 
-bool flat_replayer::replay(const transition_override& ov) {
-    const flat_override f = lower_override(*cs_, ov);
+template <std::size_t W>
+bool flat_replayer::replay(const flat_override& f) {
     for (std::size_t ci = 0; ci < cases_.size(); ++ci) {
         // Quarantined runs neither support nor refute (mirrors
         // hypothesis_consistent's paths).
@@ -565,9 +601,14 @@ bool flat_replayer::replay(const transition_override& ov) {
             continue;
         }
         if (cases_[ci].first_symptom < ff) return false;
-        if (!suffix_consistent(ci, ff, f)) return false;
+        if (!suffix_consistent<W>(ci, ff, f)) return false;
     }
     return true;
+}
+
+bool flat_replayer::replay(const transition_override& ov) {
+    const flat_override f = lower_override(*cs_, ov);
+    return cs_->words == 1 ? replay<1>(f) : replay<runtime_words>(f);
 }
 
 }  // namespace cfsmdiag

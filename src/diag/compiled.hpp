@@ -17,10 +17,8 @@
 //   - per-case spec-run tables: encoded inputs, packed states, firing
 //     index, (state, input) class representatives, and per-step fired
 //     lists (the conflict-set bitmaps' raw material),
-//   - a u64 state packing (bits per machine) that turns system_state
-//     comparisons into integer compares.  Systems whose states exceed 64
-//     bits set `packable = false` and diagnosis runs the reference Steps
-//     4-5C with a replay_cache instead.
+//   - a W-word state packing (bits per machine, W = `words` u64 words) that
+//     turns system_state comparisons into integer compares.
 //
 // `compile_conflicts`/`materialize_*` are the bitset Steps 4-5A: conflict
 // sets become bitmaps over the dense universe, ITC is their AND, and the
@@ -30,7 +28,7 @@
 //
 // `flat_replayer` is the compiled Step 5B/6 hot path: replay_cache's prefix
 // lemma + re-synchronization + class memoization, re-expressed over packed
-// u64 states with epoch-tagged scratch (no per-call allocation) and an
+// states with epoch-tagged scratch (no per-call allocation) and an
 // inlined stepper (no simulator construction per hypothesis).  Verdicts are
 // exactly hypothesis_consistent()'s.
 //
@@ -38,7 +36,15 @@
 // signature of every single-transition hypothesis's prediction; a
 // flat_replayer given one refutes a hypothesis whose signature differs
 // from the report's without replaying it (DESIGN.md §5i).
+//
+// The kernels that step packed states (flat_step, the replayer, the
+// dictionary fill and the discrimination engine's joint BFS) are templates
+// on the word count W: W = 1 is the one-word code, with every word index a
+// constant 0, and W = runtime_words reads the width from `words` (DESIGN.md
+// §5e).  Each entry point picks the instantiation once per call.
 #pragma once
+
+#include <algorithm>
 
 #include "cfsm/trace.hpp"
 #include "diag/candidates.hpp"
@@ -86,19 +92,28 @@ struct compiled_spec {
     std::vector<std::uint32_t> disp_stride;
     std::vector<std::uint32_t> dispatch;
 
-    // --- u64 state packing ------------------------------------------------
-    bool packable = false;
-    std::vector<std::uint32_t> state_shift;  ///< bit offset per machine
+    // --- W-word state packing --------------------------------------------
+    /// u64 words per packed global state.  Machine m's local state is the
+    /// field (word[state_word[m]] >> state_shift[m]) & state_mask[m].  Fields
+    /// go in machine order and never straddle two words, so a system of up
+    /// to 64 state bits takes one word.
+    std::uint32_t words = 1;
+    /// Always true: every system packs into `words` words.  Kept because
+    /// perfbench's facts line reads it.
+    bool packable = true;
+    std::vector<std::uint32_t> state_word;   ///< word index per machine
+    std::vector<std::uint32_t> state_shift;  ///< bit offset in that word
     std::vector<std::uint64_t> state_mask;   ///< width mask (unshifted)
     std::vector<std::uint32_t> state_count;  ///< states per machine
-    std::uint64_t initial_packed = 0;
+    std::vector<std::uint64_t> initial_packed;  ///< `words` words
 
     // --- per-case spec-run tables (fault independent) ---------------------
     struct case_tables {
         /// Encoded inputs: in_port[k] == invalid_index means reset.
         std::vector<std::uint32_t> in_port;
         std::vector<std::uint32_t> in_sym;
-        /// Packed spec state before each step.
+        /// Packed spec state before each step: step k's `words` words
+        /// start at k * words.
         std::vector<std::uint64_t> state_before;
         /// Packed expected (spec) observation of each step.
         std::vector<std::uint64_t> expected;
@@ -143,15 +158,36 @@ struct compiled_spec {
         return s == invalid_index ? base + j : base + pool + s * pool + j;
     }
 
-    /// Packs a system_state (requires `packable`).
-    [[nodiscard]] std::uint64_t pack(const system_state& s) const noexcept {
-        std::uint64_t packed = 0;
+    /// Packs `s` into the `words` words at `out`.
+    void pack(const system_state& s, std::uint64_t* out) const noexcept {
+        std::fill_n(out, words, std::uint64_t{0});
         for (std::size_t m = 0; m < s.states.size(); ++m)
-            packed |= static_cast<std::uint64_t>(s.states[m].value)
-                      << state_shift[m];
-        return packed;
+            out[state_word[m]] |= static_cast<std::uint64_t>(s.states[m].value)
+                                  << state_shift[m];
+    }
+
+    /// Words per state in a W-word kernel: W, or `words` for runtime_words.
+    template <std::size_t W>
+    [[nodiscard]] std::size_t words_in() const noexcept {
+        if constexpr (W == 0) {
+            return words;
+        } else {
+            return W;
+        }
+    }
+    /// Word of machine m's field in a W-word kernel (always 0 when W = 1).
+    template <std::size_t W>
+    [[nodiscard]] std::uint32_t word_of(std::uint32_t m) const noexcept {
+        if constexpr (W == 1) {
+            return 0;
+        } else {
+            return state_word[m];
+        }
     }
 };
+
+/// The W of the kernels' runtime-width instantiation (`words` > 1).
+inline constexpr std::size_t runtime_words = 0;
 
 /// Lowers (spec, suite) with the suite's Step-1 traces.  `traces` must be
 /// the spec replay of `suite` (the spec_context guarantees this).
@@ -177,16 +213,19 @@ struct flat_override {
 /// carry no port), so packed equality is observation equality.
 [[nodiscard]] std::uint64_t pack_observation(const observation& o) noexcept;
 
-/// One global input applied to a packed state under `ov_count` overrides
-/// (distinct targets).  Returns the packed observation; when `fired` is
-/// non-null it is set to whether the chain fired at least one transition
-/// (the reference search's `progressed` bit), and when `target_hit` is
-/// non-null, to whether any overridden target fired (the discrimination
-/// engine's liveness seed).  Mutates `state` in place.  Error behaviour —
-/// internal ε message, hop budget — matches simulator::apply exactly,
-/// message text included; `spec` is used for error labels only.
+/// One global input applied to the packed state at `state` (W words, see
+/// compiled_spec::words_in) under `ov_count` overrides (distinct targets).
+/// Returns the packed observation; when `fired` is non-null it is set to
+/// whether the chain fired at least one transition (the reference search's
+/// `progressed` bit), and when `target_hit` is non-null, to whether any
+/// overridden target fired (the discrimination engine's liveness seed).
+/// Mutates `state` in place.  Error behaviour — internal ε message, hop
+/// budget — matches simulator::apply exactly, message text included;
+/// `spec` is used for error labels only.  Instantiated for W = 1 and
+/// runtime_words.
+template <std::size_t W>
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
-                        std::uint64_t& state, std::uint32_t port,
+                        std::uint64_t* state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
                         std::size_t ov_count, bool* fired = nullptr,
                         bool* target_hit = nullptr);
@@ -227,9 +266,9 @@ struct fault_dictionary {
     std::vector<std::uint64_t> signature;  ///< indexed by slot
 };
 
-/// Fills the dictionary of every slot of `cs` (requires `packable`) with
-/// flat_step, walking each case from the target's first firing and jumping
-/// re-synchronized stretches to its next firing (DESIGN.md §5c).
+/// Fills the dictionary of every slot of `cs` with flat_step, walking each
+/// case from the target's first firing and jumping re-synchronized
+/// stretches to its next firing (DESIGN.md §5c).
 [[nodiscard]] fault_dictionary build_fault_dictionary(const compiled_spec& cs,
                                                       const system& spec);
 
@@ -275,10 +314,9 @@ class flat_replayer {
     };
 
     [[nodiscard]] bool replay(const transition_override& ov);
-    /// One global input on the packed state; returns the packed
-    /// observation (0 = ε).
-    std::uint64_t step(std::uint64_t& state, std::uint32_t port,
-                       std::uint32_t sym, const flat_override& ov) const;
+    template <std::size_t W>
+    [[nodiscard]] bool replay(const flat_override& ov);
+    template <std::size_t W>
     [[nodiscard]] bool suffix_consistent(std::size_t ci, std::uint32_t f,
                                          const flat_override& ov);
 
@@ -289,11 +327,14 @@ class flat_replayer {
     /// report has a quarantined case (whose positions the fill covered).
     const std::uint64_t* signatures_ = nullptr;
     std::uint64_t observed_signature_ = 0;
-    /// Epoch-tagged suffix memo, indexed by class representative step.
+    /// Epoch-tagged suffix memo, indexed by class representative step;
+    /// memo_after_ holds `words` words per step.
     std::vector<std::uint32_t> memo_epoch_;
     std::vector<std::uint64_t> memo_obs_;
     std::vector<std::uint64_t> memo_after_;
     std::uint32_t epoch_ = 0;
+    /// The unsynchronized mutated state of the runtime-width replay.
+    std::vector<std::uint64_t> state_;
 };
 
 }  // namespace cfsmdiag

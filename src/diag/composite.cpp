@@ -122,7 +122,10 @@ composite_diagnosis_result diagnose_via_composition(
         const auto& fired =
             comp.fired_of_transition[d.target.transition.value];
         line += "  [fires";
-        for (const auto& g : fired) line += " " + spec.transition_label(g);
+        for (const auto& g : fired) {
+            line += ' ';
+            line += spec.transition_label(g);
+        }
         line += "]";
         result.mapped_diagnoses.push_back(std::move(line));
     }

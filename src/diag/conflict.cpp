@@ -12,7 +12,7 @@ conflict_sets generate_conflict_sets(const system& spec,
         std::vector<std::set<transition_id>> sets(spec.machine_count());
         const std::size_t last = *run.first_symptom;
         for (std::size_t step = 0; step <= last; ++step) {
-            for (global_transition_id g : run.trace[step].fired)
+            for (global_transition_id g : (*run.trace)[step].fired)
                 sets[g.machine.value].insert(g.transition);
         }
         for (std::size_t m = 0; m < spec.machine_count(); ++m)

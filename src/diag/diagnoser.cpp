@@ -142,15 +142,12 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     const system& spec = ctx.spec();
     const test_suite& suite = ctx.suite();
     const compiled_spec& cs = ctx.compiled();
-    // The compiled core requires the packed-state representation; wider
-    // systems run the reference Steps 4-5C.
-    const bool flat = cs.packable;
 
     diagnosis_result result;
     auto mark = std::chrono::steady_clock::now();
 
-    // Steps 1-3.
-    result.symptoms = collect_symptoms(spec, suite, iut, &ctx.traces());
+    // Steps 1-3, on the context's shared Step-1 traces.
+    result.symptoms = collect_symptoms(spec, suite, iut, ctx.traces());
     result.timings.symptoms = lap(mark);
     if (!result.symptoms.has_symptoms()) {
         // Clean on every trusted run.  If runs had to be quarantined the
@@ -163,59 +160,34 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         return result;
     }
 
-    // Step 4.  Compiled: fired-prefix bitmaps over the dense universe;
-    // the public conflict_sets are rebuilt at the reporting boundary.
+    // Step 4: fired-prefix bitmaps over the dense universe; the public
+    // conflict_sets are rebuilt at the reporting boundary.
     bit_arena arena;
-    std::optional<compiled_conflicts> cc;
-    if (flat) {
-        cc = compile_conflicts(cs, result.symptoms, arena);
-        result.conflicts = materialize_conflict_sets(cs, *cc);
-    } else {
-        result.conflicts = generate_conflict_sets(spec, result.symptoms);
-    }
+    const compiled_conflicts cc =
+        compile_conflicts(cs, result.symptoms, arena);
+    result.conflicts = materialize_conflict_sets(cs, cc);
     detail::budget_note_memory(arena.capacity_bytes());
     detail::budget_checkpoint();
     result.timings.conflicts = lap(mark);
 
-    // Step 5A.  Compiled: the ITC is the AND the bitmaps already carry.
-    if (flat) {
-        result.candidates =
-            materialize_candidate_sets(cs, result.symptoms, *cc);
-    } else {
-        result.candidates =
-            generate_candidates(spec, result.symptoms, result.conflicts);
-    }
+    // Step 5A: the ITC is the AND the bitmaps already carry.
+    result.candidates = materialize_candidate_sets(cs, result.symptoms, cc);
     detail::budget_checkpoint();
     result.timings.candidates = lap(mark);
 
-    // Steps 5B-5C.  One replay accelerator per diagnosis, amortized over
-    // every hypothesis check below (including Step 6 escalation).  The
-    // context's fault dictionary, when a campaign has built one, refutes
-    // most hypotheses without a replay.
-    std::optional<flat_replayer> flat_rep;
-    std::optional<replay_cache> cache;
-    if (flat) {
-        flat_rep.emplace(cs, spec, result.symptoms, ctx.dictionary());
-    } else {
-        cache.emplace(ctx.make_replay_cache(result.symptoms));
-    }
+    // Steps 5B-5C.  One replayer per diagnosis, amortized over every
+    // hypothesis check below (including Step 6 escalation).  The context's
+    // fault dictionary, when a campaign has built one, refutes most
+    // hypotheses without a replay.
+    flat_replayer replayer(cs, spec, result.symptoms, ctx.dictionary());
     const auto evaluate_routed = [&] {
-        if (flat) {
-            return evaluate_candidates(cs, *flat_rep, result.symptoms,
-                                       result.candidates);
-        }
-        return evaluate_candidates(spec, suite, result.symptoms,
-                                   result.candidates, &*cache);
+        return evaluate_candidates(cs, replayer, result.symptoms,
+                                   result.candidates);
     };
     const auto evaluate_full = [&] {
-        if (flat) {
-            return evaluate_candidates_escalated(
-                cs, *flat_rep, result.symptoms, result.candidates,
-                options.include_addressing_faults);
-        }
         return evaluate_candidates_escalated(
-            spec, suite, result.symptoms, result.candidates,
-            options.include_addressing_faults, &*cache);
+            cs, replayer, result.symptoms, result.candidates,
+            options.include_addressing_faults);
     };
     if (options.evaluation == evaluation_mode::complete) {
         result.evaluated = evaluate_full();

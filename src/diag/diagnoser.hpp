@@ -197,10 +197,9 @@ struct diagnoser_options {
 /// consulted once per suite case plus once per applied additional test.
 /// This is the primary entry point: the context's compiled tables and
 /// Step-1 traces are shared across every diagnosis (a campaign builds one
-/// context for all faults).  The input alone picks the path: Steps 4-5C run
-/// on the compiled core when the system's states pack into 64 bits
-/// (`ctx.compiled().packable`) and on the reference Steps with a
-/// replay_cache otherwise; Step 6 always runs through `ctx.discrim()`.
+/// context for all faults).  Every input takes the same path: Steps 4-5C on
+/// the compiled core, whatever the width of its packed states
+/// (`ctx.compiled().words`), and Step 6 through `ctx.discrim()`.
 [[nodiscard]] diagnosis_result diagnose(const spec_context& ctx, oracle& iut,
                                         const diagnoser_options& options = {});
 

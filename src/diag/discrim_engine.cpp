@@ -163,7 +163,7 @@ discrim_engine::discrim_engine(const compiled_spec& cs, const system& spec)
         in_port_.push_back(in.port.value);
         in_sym_.push_back(in.input.id);
     }
-    flat_ok_ = cs.packable && spec_chains_safe(cs);
+    flat_ok_ = spec_chains_safe(cs);
     std::uint64_t size = 1;
     stride_.reserve(cs.state_count.size());
     for (const std::uint32_t count : cs.state_count) {
@@ -177,21 +177,27 @@ discrim_engine::discrim_engine(const compiled_spec& cs, const system& spec)
     product_size_ = static_cast<std::uint32_t>(size);
 }
 
+template <std::size_t W>
 std::uint32_t discrim_engine::product_index(
-    std::uint64_t packed) const noexcept {
+    const std::uint64_t* packed) const noexcept {
     std::uint32_t idx = 0;
     for (std::size_t m = 0; m < stride_.size(); ++m) {
         const auto local = static_cast<std::uint32_t>(
-            (packed >> cs_->state_shift[m]) & cs_->state_mask[m]);
+            (packed[cs_->word_of<W>(static_cast<std::uint32_t>(m))] >>
+             cs_->state_shift[m]) &
+            cs_->state_mask[m]);
         idx += local * stride_[m];
     }
     return idx;
 }
 
+template <std::size_t W>
 std::optional<std::vector<global_input>> discrim_engine::flat_search(
     const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
     std::size_t& memory_noted) const {
     const std::size_t k = hyps.size();
+    const std::size_t w = cs_->words_in<W>();
+    const std::size_t kw = k * w;  // words per joint state
     const std::size_t cols = in_port_.size();
     const std::uint32_t S = product_size_;  // 0 = dense indexing unavailable
 
@@ -208,17 +214,18 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
 
     // Flat node storage: k packed states per node + parent/via chains.
     std::vector<std::uint64_t> states;
-    states.reserve(k * 256);
+    states.reserve(kw * 256);
     std::vector<std::uint32_t> parent{invalid_index};
     std::vector<std::uint32_t> via{invalid_index};
     for (std::size_t i = 0; i < k; ++i)
-        states.push_back(cs_->initial_packed);
+        states.insert(states.end(), cs_->initial_packed.begin(),
+                      cs_->initial_packed.end());
     std::size_t visited_count = 1;
 
     const auto joint_index = [&](const std::uint64_t* st) {
         std::uint64_t idx = 0;
         for (std::size_t i = k; i-- > 0;)
-            idx = idx * S + product_index(st[i]);
+            idx = idx * S + product_index<W>(st + i * w);
         return idx;
     };
 
@@ -228,30 +235,31 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
     }
     struct node_hash {
         const std::vector<std::uint64_t>* st;
-        std::size_t k;
+        std::size_t kw;
         std::size_t operator()(std::uint32_t n) const noexcept {
             std::size_t h = 0x811c9dc5u;
-            for (std::size_t i = 0; i < k; ++i) {
-                const std::uint64_t w = (*st)[n * k + i];
-                h = (h ^ w) * 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+            for (std::size_t i = 0; i < kw; ++i) {
+                const std::uint64_t v = (*st)[n * kw + i];
+                h = (h ^ v) * 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
             }
             return h;
         }
     };
     struct node_eq {
         const std::vector<std::uint64_t>* st;
-        std::size_t k;
+        std::size_t kw;
         bool operator()(std::uint32_t a, std::uint32_t b) const noexcept {
-            return std::equal(st->begin() + a * k, st->begin() + (a + 1) * k,
-                              st->begin() + b * k);
+            return std::equal(st->begin() + a * kw,
+                              st->begin() + (a + 1) * kw,
+                              st->begin() + b * kw);
         }
     };
     std::unordered_set<std::uint32_t, node_hash, node_eq> hashed(
-        16, node_hash{&states, k}, node_eq{&states, k});
+        16, node_hash{&states, kw}, node_eq{&states, kw});
     if (!dense) hashed.insert(0);
 
-    std::vector<std::uint64_t> cur(k);
-    std::vector<std::uint64_t> next(k);
+    std::vector<std::uint64_t> cur(kw);
+    std::vector<std::uint64_t> next(kw);
     for (std::size_t head = 0; head < parent.size(); ++head) {
         // One governed unit per expansion; the BFS frontier is the search's
         // dominant allocation, so it is what the memory quota sees.  Its
@@ -259,19 +267,19 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
         detail::budget_poll();
         memory_noted = states.capacity() * sizeof(std::uint64_t);
         detail::budget_note_memory(memory_noted);
-        std::copy(states.begin() + head * k,
-                  states.begin() + (head + 1) * k, cur.begin());
+        std::copy(states.begin() + head * kw,
+                  states.begin() + (head + 1) * kw, cur.begin());
         for (std::size_t in = 0; in < cols; ++in) {
             bool disagree = false;
             bool progressed = false;
             std::uint64_t first_obs = 0;
             for (std::size_t i = 0; i < k; ++i) {
-                next[i] = cur[i];
+                std::copy_n(cur.data() + i * w, w, next.data() + i * w);
                 bool fired = false;
-                const std::uint64_t obs =
-                    flat_step(*cs_, *spec_, next[i], in_port_[in],
-                              in_sym_[in], hyps[i].ovs.data(),
-                              hyps[i].ovs.size(), &fired);
+                const std::uint64_t obs = flat_step<W>(
+                    *cs_, *spec_, next.data() + i * w, in_port_[in],
+                    in_sym_[in], hyps[i].ovs.data(), hyps[i].ovs.size(),
+                    &fired);
                 progressed = progressed || fired;
                 if (i == 0) {
                     first_obs = obs;
@@ -304,7 +312,7 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
                 if (hashed.insert(candidate).second) {
                     inserted = true;
                 } else {
-                    states.resize(states.size() - k);
+                    states.resize(states.size() - kw);
                 }
             }
             if (inserted) {
@@ -380,7 +388,11 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     memo_value value;
     if (flat_ok_) {
         ++g_counters.bfs_searches;
-        value.sequence = flat_search(hyps, max_joint_states, value.memory);
+        value.sequence =
+            cs_->words == 1
+                ? flat_search<1>(hyps, max_joint_states, value.memory)
+                : flat_search<runtime_words>(hyps, max_joint_states,
+                                             value.memory);
     } else {
         value.sequence = cfsmdiag::splitting_sequence(*spec_, hypotheses,
                                                       max_joint_states);

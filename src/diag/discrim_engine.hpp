@@ -9,7 +9,7 @@
 //
 //   1. Flat joint BFS — the same breadth-first exploration (same input
 //      enumeration, same FIFO order, same `progressed` gate, same visited
-//      cap semantics) over packed u64 states and the compiled dispatch
+//      cap semantics) over packed W-word states and the compiled dispatch
 //      tables, with an epoch-tagged dense visited set when the joint space
 //      is small and a flat open-addressing set otherwise.  Because the
 //      reference search computes a *specification* step for every explored
@@ -18,7 +18,8 @@
 //      only when a structural analysis of the compiled universe proves spec
 //      chains can never throw (no internal-ε output, acyclic
 //      internal-successor graph, ≤ hop-budget transitions); otherwise the
-//      engine transparently computes through the reference search.
+//      engine transparently computes through the reference search.  The
+//      state width is no gate: the BFS runs at any `words`.
 //
 //   2. Cross-fault memoization — a sharded, compute-once memo keyed on the
 //      canonicalized hypothesis set (dense compiled ids for the target and
@@ -84,9 +85,9 @@ class discrim_engine {
     discrim_engine(const discrim_engine&) = delete;
     discrim_engine& operator=(const discrim_engine&) = delete;
 
-    /// True when the flat joint BFS can run (packed states + provably
-    /// throw-free spec chains).  When false the engine still memoizes, but
-    /// computes through the reference search.
+    /// True when the flat joint BFS can run (provably throw-free spec
+    /// chains).  When false the engine still memoizes, but computes through
+    /// the reference search.
     [[nodiscard]] bool flat_search_available() const noexcept {
         return flat_ok_;
     }
@@ -132,8 +133,10 @@ class discrim_engine {
         std::vector<flat_override> ovs;
         key_type enc;  ///< canonical encoding (memo key)
     };
-    /// Runs the flat joint BFS; `memory_noted` receives the largest
-    /// frontier footprint it passed to the memory quota.
+    /// Runs the flat joint BFS on W-word states (compiled_spec::words_in);
+    /// `memory_noted` receives the largest frontier footprint it passed to
+    /// the memory quota.
+    template <std::size_t W>
     [[nodiscard]] std::optional<std::vector<global_input>> flat_search(
         const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
         std::size_t& memory_noted) const;
@@ -144,10 +147,11 @@ class discrim_engine {
     [[nodiscard]] std::optional<std::vector<global_input>> transfer_for(
         machine_id m, state_id s, const global_search_options& search) const;
 
-    /// Mixed-radix index of a packed state in the product state space
-    /// (requires product_size_ != 0).
+    /// Mixed-radix index of the W-word packed state at `packed` in the
+    /// product state space (requires product_size_ != 0).
+    template <std::size_t W>
     [[nodiscard]] std::uint32_t product_index(
-        std::uint64_t packed) const noexcept;
+        const std::uint64_t* packed) const noexcept;
 
     const compiled_spec* cs_;
     const system* spec_;

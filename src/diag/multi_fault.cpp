@@ -76,7 +76,7 @@ multi_fault_result diagnose_multi(const system& spec,
     // collection and the replay cache below.
     const spec_context ctx(spec, suite);
     const symptom_report report =
-        collect_symptoms(spec, suite, iut, &ctx.traces());
+        collect_symptoms(spec, suite, iut, ctx.traces());
     if (!report.has_symptoms()) {
         result.outcome = diagnosis_outcome::passed;
         return result;
@@ -91,7 +91,7 @@ multi_fault_result diagnose_multi(const system& spec,
     for (std::size_t ci : report.symptomatic_cases) {
         const executed_case& run = report.runs[ci];
         for (std::size_t step = 0; step <= *run.first_symptom; ++step) {
-            for (auto g : run.trace[step].fired) suspicious.insert(g);
+            for (auto g : (*run.trace)[step].fired) suspicious.insert(g);
         }
     }
     std::vector<global_transition_id> ordered;

@@ -124,7 +124,7 @@ replay_cache::replay_cache(const system& spec, const test_suite& suite,
     // `explain` call); the trace carries every fired transition and the
     // state before each step, so the index is built without simulating.
     for (std::size_t ci = 0; ci < suite.cases.size(); ++ci) {
-        const auto& trace = report.runs[ci].trace;
+        const auto& trace = *report.runs[ci].trace;
         detail::require(trace.size() == suite.cases[ci].inputs.size(),
                         "replay_cache: report trace does not match suite");
         case_data c;

@@ -7,17 +7,19 @@ namespace cfsmdiag {
 spec_context::spec_context(const system& spec, test_suite suite,
                            const suite_traces* precomputed)
     : spec_(&spec), suite_(std::move(suite)) {
+    suite_traces traces;
     if (precomputed) {
         detail::require(precomputed->size() == suite_.cases.size(),
                         "spec_context: precomputed traces do not match suite");
-        traces_ = *precomputed;
+        traces = *precomputed;
     } else {
-        traces_.reserve(suite_.cases.size());
+        traces.reserve(suite_.cases.size());
         for (const test_case& tc : suite_.cases)
-            traces_.push_back(explain(*spec_, tc.inputs));
+            traces.push_back(explain(*spec_, tc.inputs));
     }
-    for (const auto& trace : traces_) trace_steps_ += trace.size();
-    compiled_ = compile_spec(*spec_, suite_, traces_);
+    for (const auto& trace : traces) trace_steps_ += trace.size();
+    traces_ = std::make_shared<const suite_traces>(std::move(traces));
+    compiled_ = compile_spec(*spec_, suite_, *traces_);
     discrim_ = std::make_unique<discrim_engine>(compiled_, *spec_);
 }
 
@@ -27,7 +29,6 @@ const fault_dictionary* spec_context::dictionary() const {
 }
 
 void spec_context::build_dictionary() const {
-    if (!compiled_.packable) return;
     const std::lock_guard<std::mutex> lock(dictionary_mutex_);
     if (dictionary_) return;
     dictionary_ = std::make_unique<const fault_dictionary>(

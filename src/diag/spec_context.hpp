@@ -8,10 +8,13 @@
 // owns that shared state:
 //   - the test suite (by value: the context is the suite's home — diagnose
 //     against a context, not a (spec, suite) pair),
-//   - the Step-1 spec traces of every case (one replay, ever),
+//   - the Step-1 spec traces of every case (one replay, ever), shared:
+//     each diagnosis's symptom report points into them instead of copying
+//     them, and keeps them alive past the context,
 //   - the flat compiled core (diag/compiled.hpp): dense transition tables,
 //     dispatch tables, admissible-output pools, per-case firing indexes and
-//     the u64 state packing the per-fault hot path runs on,
+//     the W-word state packing the per-fault hot path runs on, for systems
+//     of any width,
 //   - Step 5B's fault dictionary (DESIGN.md §5i), built lazily: only
 //     campaign_engine::run() asks for it, once per context, so a one-shot
 //     diagnose() never pays for a fill it could not amortize.
@@ -21,13 +24,14 @@
 // read under its lock, and the discrimination engine's caches synchronize
 // themselves.  So one instance may be shared by const reference
 // across campaign worker threads and across engines.  Per-diagnosis state
-// (bit arenas, flat replayers, replay caches) is created per call — see
+// (bit arenas, flat replayers) is created per call — see
 // diagnose(const spec_context&, ...).
 //
-// Construction of replay_cache lives here (make_replay_cache) because the
-// cache's correctness depends on the report having been collected against
-// this context's suite; routing construction through the owner of the suite
-// makes that precondition structural.
+// Construction of replay_cache (the reference replay accelerator, which
+// multi-fault diagnosis and the tests still use) lives here
+// (make_replay_cache) because the cache's correctness depends on the report
+// having been collected against this context's suite; routing construction
+// through the owner of the suite makes that precondition structural.
 #pragma once
 
 #include <memory>
@@ -59,7 +63,10 @@ class spec_context {
 
     [[nodiscard]] const system& spec() const noexcept { return *spec_; }
     [[nodiscard]] const test_suite& suite() const noexcept { return suite_; }
-    [[nodiscard]] const suite_traces& traces() const noexcept {
+    /// The Step-1 traces, shared: pass them to collect_symptoms() and each
+    /// executed_case aliases its case's trace instead of copying it.
+    [[nodiscard]] const std::shared_ptr<const suite_traces>& traces()
+        const noexcept {
         return traces_;
     }
     [[nodiscard]] const compiled_spec& compiled() const noexcept {
@@ -75,14 +82,13 @@ class spec_context {
     }
 
     /// Step 5B's fault dictionary, or nullptr until build_dictionary() has
-    /// run on this context (and always on a context whose states do not
-    /// pack).  diagnose() uses it when it exists and never builds it.
+    /// run on this context.  diagnose() uses it when it exists and never
+    /// builds it.
     [[nodiscard]] const fault_dictionary* dictionary() const;
 
     /// Fills the fault dictionary unless it exists; concurrent callers wait
-    /// for the one fill.  A no-op on a context whose states do not pack.
-    /// campaign_engine::run() calls it before its workers start, so no
-    /// entry pays for the fill or is budgeted for it.
+    /// for the one fill.  campaign_engine::run() calls it before its
+    /// workers start, so no entry pays for the fill or is budgeted for it.
     void build_dictionary() const;
 
     /// Total trace steps across the suite (the simulation cost of Step 1,
@@ -99,7 +105,7 @@ class spec_context {
   private:
     const system* spec_;
     test_suite suite_;
-    suite_traces traces_;
+    std::shared_ptr<const suite_traces> traces_;
     std::size_t trace_steps_ = 0;
     compiled_spec compiled_;
     std::unique_ptr<discrim_engine> discrim_;

@@ -5,9 +5,9 @@
 
 namespace cfsmdiag {
 
-symptom_report collect_symptoms(const system& spec, const test_suite& suite,
-                                oracle& iut,
-                                const suite_traces* precomputed) {
+symptom_report collect_symptoms(
+    const system& spec, const test_suite& suite, oracle& iut,
+    const std::shared_ptr<const suite_traces>& precomputed) {
     detail::require(!precomputed ||
                         precomputed->size() == suite.cases.size(),
                     "collect_symptoms: precomputed traces do not match suite");
@@ -19,8 +19,14 @@ symptom_report collect_symptoms(const system& spec, const test_suite& suite,
         const test_case& tc = suite.cases[ci];
         executed_case run;
         run.case_index = ci;
-        run.trace = precomputed ? (*precomputed)[ci]
-                                : explain(spec, tc.inputs);
+        if (precomputed) {
+            run.trace = std::shared_ptr<const std::vector<trace_step>>(
+                precomputed, &(*precomputed)[ci]);
+        } else {
+            run.trace = std::make_shared<const std::vector<trace_step>>(
+                explain(spec, tc.inputs));
+        }
+        const std::vector<trace_step>& trace = *run.trace;
         try {
             run.observed = iut.execute(tc.inputs);
             if (const run_reliability* rel = iut.last_run_reliability();
@@ -47,13 +53,13 @@ symptom_report collect_symptoms(const system& spec, const test_suite& suite,
             continue;
         }
 
-        for (std::size_t step = 0; step < run.trace.size(); ++step) {
-            if (run.trace[step].expected != run.observed[step])
+        for (std::size_t step = 0; step < trace.size(); ++step) {
+            if (trace[step].expected != run.observed[step])
                 run.symptom_steps.push_back(step);
         }
         if (!run.symptom_steps.empty()) {
             run.first_symptom = run.symptom_steps.front();
-            const trace_step& at = run.trace[*run.first_symptom];
+            const trace_step& at = trace[*run.first_symptom];
             if (!at.fired.empty()) run.symptom_transition = at.fired.back();
             report.symptomatic_cases.push_back(ci);
 

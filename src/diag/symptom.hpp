@@ -15,6 +15,7 @@
 // (transfer component), not just one output.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,7 +28,10 @@ namespace cfsmdiag {
 /// One executed test case with everything the later steps need.
 struct executed_case {
     std::size_t case_index = 0;
-    std::vector<trace_step> trace;       ///< spec run (inputs + expected)
+    /// Spec run (inputs + expected).  Shared, not copied: with the traces
+    /// of a spec_context it aliases the context's trace of this case and
+    /// keeps the context's traces alive.
+    std::shared_ptr<const std::vector<trace_step>> trace;
     std::vector<observation> observed;   ///< IUT run
     /// Index of the first differing step, if any.
     std::optional<std::size_t> first_symptom;
@@ -75,10 +79,11 @@ struct symptom_report {
 using suite_traces = std::vector<std::vector<trace_step>>;
 
 /// Runs the suite on the spec (Step 1) and the IUT (Step 2) and compares
-/// (Step 3).  `precomputed`, when given, must be explain_suite(spec, suite)
-/// and replaces the Step 1 simulation.
+/// (Step 3).  `precomputed`, when given, must be the spec replay of `suite`
+/// (spec_context::traces()) and replaces the Step 1 simulation; each run
+/// then shares its case's trace instead of copying it.
 [[nodiscard]] symptom_report collect_symptoms(
     const system& spec, const test_suite& suite, oracle& iut,
-    const suite_traces* precomputed = nullptr);
+    const std::shared_ptr<const suite_traces>& precomputed = nullptr);
 
 }  // namespace cfsmdiag

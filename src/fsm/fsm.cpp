@@ -12,8 +12,11 @@ fsm::fsm(std::string name, std::vector<std::string> state_names,
       initial_(initial),
       transitions_(std::move(transitions)) {
     for (std::size_t i = 0; i < transitions_.size(); ++i) {
-        if (transitions_[i].name.empty())
-            transitions_[i].name = "t" + std::to_string(i + 1);
+        if (transitions_[i].name.empty()) {
+            std::string name = "t";
+            name += std::to_string(i + 1);
+            transitions_[i].name = std::move(name);
+        }
     }
     validate();
     reindex();

@@ -180,8 +180,10 @@ system random_system(const random_system_options& options, rng& random) {
     machines.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<std::string> names;
-        for (std::uint32_t s = 0; s < S; ++s)
-            names.push_back("s" + std::to_string(s));
+        for (std::uint32_t s = 0; s < S; ++s) {
+            names.emplace_back("s");
+            names.back() += std::to_string(s);
+        }
         machines.emplace_back("M" + std::to_string(i + 1), std::move(names),
                               state_id{0}, std::move(transitions[i]));
     }

@@ -231,7 +231,9 @@ void check_ladder_soundness(const fixture& fx,
         // Not starved (or starved and recovered on a cheaper rung): the
         // soundness bit may never flip off relative to the reference.
         EXPECT_EQ(bud[i].detected, ref[i].detected);
-        if (ref[i].sound) EXPECT_TRUE(bud[i].sound);
+        if (ref[i].sound) {
+            EXPECT_TRUE(bud[i].sound);
+        }
     }
 }
 

@@ -152,6 +152,59 @@ TEST(discrim_engine, splitting_sequence_identity_random_20_systems) {
     }
 }
 
+TEST(discrim_engine, splitting_sequence_identity_wide_random_systems) {
+    // Random systems wider than one word: 22 machines of 3 bits (the last
+    // field would straddle bit 64, so it opens the second word) and 17 of
+    // 4 bits.  Their global state spaces are huge, so every search runs
+    // under a small visited cap, and a short random walk is suite enough
+    // (only the context's tables matter here).
+    std::size_t checked = 0;
+    std::size_t deep = 0;       // pairs split after more than one input
+    std::size_t exhausted = 0;  // pairs the capped search could not split
+    for (const std::uint64_t seed : {3u, 4u, 7u, 8u}) {
+        rng random(seed);
+        random_system_options opts;
+        opts.machines = seed % 2 == 1 ? 22 : 17;
+        opts.states_per_machine = seed % 2 == 1 ? 8 : 16;
+        opts.extra_transitions = 3;
+        const cfsmdiag::system sys = random_system(opts, random);
+        rng walk(seed + 1000);
+        const test_suite suite = random_walk_suite(
+            sys, walk, {.cases = 2, .steps_per_case = 12});
+        const spec_context ctx(sys, suite);
+        ASSERT_TRUE(ctx.compiled().packable) << "seed " << seed;
+        ASSERT_EQ(ctx.compiled().words, 2u) << "seed " << seed;
+        ASSERT_TRUE(ctx.discrim().flat_search_available()) << "seed " << seed;
+        // About 30 pairs and 16 triples out of thousands of hypotheses.
+        const auto all = fault_hypotheses(sys);
+        const std::size_t stride = all.size() / 8;
+        for (std::size_t i = 0; i < all.size(); i += stride) {
+            for (std::size_t j = i + 1; j < all.size(); j += stride - 7) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + ", pair " +
+                             std::to_string(i) + "," + std::to_string(j));
+                const std::vector<std::vector<transition_override>> hyps{
+                    all[i], all[j]};
+                for (const std::size_t cap : {std::size_t{100}, std::size_t{7}})
+                    expect_engine_matches_reference(sys, ctx.discrim(), hyps,
+                                                    cap);
+                const auto seq = ctx.discrim().splitting_sequence(hyps, 100);
+                deep += seq && seq->size() > 1;
+                exhausted += !seq;
+                ++checked;
+            }
+        }
+        for (std::size_t i = 0; i + 6 < all.size(); i += stride / 2) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", triple from " +
+                         std::to_string(i));
+            expect_engine_matches_reference(
+                sys, ctx.discrim(), {all[i], all[i + 3], all[i + 6]}, 100);
+        }
+    }
+    EXPECT_GT(checked, 100u);
+    EXPECT_GT(deep, 0u);
+    EXPECT_GT(exhausted, 0u);
+}
+
 TEST(discrim_engine, returned_sequences_actually_split) {
     const auto ex = paperex::make_paper_example();
     const test_suite suite = transition_tour(ex.spec).suite;

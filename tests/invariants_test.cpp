@@ -72,7 +72,7 @@ TEST_P(invariants, pipeline_lemmas_hold_for_every_detected_fault) {
         for (std::size_t ci : report.symptomatic_cases) {
             const auto& run = report.runs[ci];
             for (std::size_t k = 0; k < *run.first_symptom; ++k) {
-                ASSERT_EQ(run.trace[k].expected, run.observed[k]);
+                ASSERT_EQ((*run.trace)[k].expected, run.observed[k]);
             }
         }
 
@@ -106,7 +106,7 @@ TEST_P(invariants, pipeline_lemmas_hold_for_every_detected_fault) {
                 bool fired = false;
                 for (std::size_t k = 0;
                      k <= *run.first_symptom && !fired; ++k) {
-                    for (auto g : run.trace[k].fired)
+                    for (auto g : (*run.trace)[k].fired)
                         fired = fired || g == *report.ust;
                 }
                 EXPECT_TRUE(fired);

@@ -8,7 +8,10 @@
 //   (sharpness)   end localized or localized-up-to-equivalence.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "helpers.hpp"
+#include "models/models.hpp"
 #include "reference_oracle.hpp"
 
 namespace cfsmdiag {
@@ -147,7 +150,7 @@ void expect_compiled_sets_match(const system& spec, const spec_context& ctx,
                                 const single_transition_fault& fault) {
     simulated_iut iut(spec, fault);
     const symptom_report report =
-        collect_symptoms(spec, ctx.suite(), iut, &ctx.traces());
+        collect_symptoms(spec, ctx.suite(), iut, ctx.traces());
 
     const conflict_sets ref_confl = generate_conflict_sets(spec, report);
     const candidate_sets ref_cands =
@@ -237,6 +240,140 @@ TEST(compiled_core, campaign_entries_identical_with_core_on_and_off) {
     const campaign_stats& stats = engine.run();
     // Same hypothesis work as the uncached reference, entry for entry.
     ref_oracle::expect_entries_match(sys, suite, faults, stats.entries);
+}
+
+// --- W-word packing ---------------------------------------------------------
+
+/// Every packed spec state of the context decodes to its Step-1 trace state,
+/// and no machine's field straddles a word.
+void expect_packing_matches_traces(const spec_context& ctx) {
+    const compiled_spec& cs = ctx.compiled();
+    const std::size_t machines = cs.state_count.size();
+    for (std::size_t m = 0; m < machines; ++m) {
+        EXPECT_LT(cs.state_word[m], cs.words);
+        EXPECT_LE(cs.state_shift[m] + std::bit_width(cs.state_mask[m]), 64u)
+            << "machine " << m << " straddles a word";
+    }
+    const auto field = [&](const std::uint64_t* state, std::size_t m) {
+        return static_cast<std::uint32_t>(
+            (state[cs.state_word[m]] >> cs.state_shift[m]) &
+            cs.state_mask[m]);
+    };
+    for (std::size_t m = 0; m < machines; ++m)
+        EXPECT_EQ(field(cs.initial_packed.data(), m),
+                  ctx.spec().machine(machine_id{static_cast<std::uint32_t>(
+                                         m)})
+                      .initial_state()
+                      .value);
+    for (std::size_t ci = 0; ci < cs.cases.size(); ++ci) {
+        const auto& trace = (*ctx.traces())[ci];
+        ASSERT_EQ(cs.cases[ci].state_before.size(), trace.size() * cs.words);
+        for (std::size_t k = 0; k < trace.size(); ++k) {
+            const std::uint64_t* state =
+                cs.cases[ci].state_before.data() + k * cs.words;
+            for (std::size_t m = 0; m < machines; ++m)
+                ASSERT_EQ(field(state, m), trace[k].before.states[m].value)
+                    << "case " << ci << ", step " << k << ", machine " << m;
+        }
+    }
+}
+
+/// token_ring(64)'s shape, except that the last station has a third state
+/// (it can hold the token): its two-bit field would take bits 63 and 64, so
+/// it opens the second word instead.  One token keeps the reachable global
+/// states few, as on the ring.
+system make_straddling_ring() {
+    constexpr std::size_t n = 64;
+    symbol_table symbols;
+    const auto tok = [](std::size_t from, std::size_t to) {
+        return "tok" + std::to_string(from) + "_" + std::to_string(to);
+    };
+    std::vector<fsm> machines;
+    for (std::size_t i = 1; i <= n; ++i) {
+        const std::size_t next = i % n + 1;
+        const std::size_t prev = (i + n - 2) % n + 1;
+        const std::string name = "St" + std::to_string(i);
+        fsm_builder b(name, symbols);
+        b.external("recv_" + name, "idle", tok(prev, i), "got", "has");
+        b.internal("pass_" + name, "has", "pass", tok(i, next), "idle",
+                   machine_id{static_cast<std::uint32_t>(next - 1)});
+        b.external("qi_" + name, "idle", "query", "no", "idle");
+        b.external("qh_" + name, "has", "query", "yes", "has");
+        if (i == 1)
+            b.external("inject1", "idle", "inject", "created", "has");
+        if (i == n) {
+            b.external("hold_" + name, "has", "hold", "held", "busy");
+            b.external("free_" + name, "busy", "hold", "freed", "has");
+            b.external("qb_" + name, "busy", "query", "busy", "busy");
+        }
+        machines.push_back(b.build("idle"));
+    }
+    return system("straddling_ring", std::move(symbols), std::move(machines));
+}
+
+TEST(compiled_core, packing_at_the_word_boundary) {
+    // 64 one-bit stations fill one word; the 65th opens a second.
+    for (const std::size_t n : {std::size_t{64}, std::size_t{65}}) {
+        SCOPED_TRACE("token_ring(" + std::to_string(n) + ")");
+        const system ring = models::token_ring(n);
+        const spec_context ctx(ring, transition_tour(ring).suite);
+        EXPECT_EQ(ctx.compiled().words, n == 64 ? 1u : 2u);
+        EXPECT_EQ(ctx.compiled().state_word.back(), n == 64 ? 0u : 1u);
+        expect_packing_matches_traces(ctx);
+    }
+
+    const system sys = make_straddling_ring();
+    const test_suite suite = transition_tour(sys).suite;
+    const spec_context ctx(sys, suite);
+    const compiled_spec& cs = ctx.compiled();
+    ASSERT_EQ(cs.state_count.back(), 3u);
+    ASSERT_EQ(cs.words, 2u);
+    EXPECT_EQ(cs.state_word[62], 0u);
+    EXPECT_EQ(cs.state_shift[62], 62u);
+    EXPECT_EQ(cs.state_word.back(), 1u);
+    EXPECT_EQ(cs.state_shift.back(), 0u);
+    expect_packing_matches_traces(ctx);
+
+    // Diagnoses on both words against the oracle: every third fault of the
+    // three-state station, and every 61st of the others.  Small search
+    // caps keep Step 6 short: `inject` makes any number of tokens, so the
+    // transfer searches and the proofs of equivalence would otherwise walk
+    // a huge global state space.
+    ctx.build_dictionary();
+    diagnoser_options options;
+    options.max_joint_states = 300;
+    options.step6.search.max_states = 300;
+    const auto faults = enumerate_all_faults(sys);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        if (i % (faults[i].target.machine.value == 63 ? 3 : 61) != 0)
+            continue;
+        SCOPED_TRACE(describe(sys, faults[i]));
+        simulated_iut iut(sys, faults[i]);
+        ref_oracle::expect_diagnosis_matches(
+            sys, suite, diagnose(ctx, iut, options), options);
+        ++checked;
+    }
+    EXPECT_GT(checked, 40u);
+}
+
+TEST(compiled_core, every_system_packs) {
+    for (const auto& [name, sys] : models::zoo_models()) {
+        const spec_context ctx(sys, transition_tour(sys).suite);
+        EXPECT_TRUE(ctx.compiled().packable) << name;
+        EXPECT_EQ(ctx.compiled().words, 1u) << name;
+    }
+    for (const auto& [name, sys] : models::all_models()) {
+        const spec_context ctx(sys, transition_tour(sys).suite);
+        EXPECT_TRUE(ctx.compiled().packable) << name;
+        EXPECT_EQ(ctx.compiled().words, 1u) << name;
+    }
+    for (const std::size_t n : {std::size_t{65}, std::size_t{66}}) {
+        const system ring = models::token_ring(n);
+        const spec_context ctx(ring, transition_tour(ring).suite);
+        EXPECT_TRUE(ctx.compiled().packable) << "token_ring " << n;
+        EXPECT_EQ(ctx.compiled().words, 2u);
+    }
 }
 
 TEST(random_system_test, generator_produces_valid_connected_systems) {

@@ -9,9 +9,9 @@
 //   Step 6       propose_structured_tests on a plain tracker, the reference
 //                joint search splitting_sequence(spec, ...), and filtering
 //                by observe() on each hypothesis.
-// diagnose() runs none of this: it takes the compiled core or a
-// replay_cache for Steps 4-5C and the context's discrimination engine (memo,
-// proposal, transfer and replay caches) for Step 6.  The checks below hold
+// diagnose() runs none of this: it takes the compiled core for Steps 4-5C
+// and the context's discrimination engine (memo, proposal, transfer and
+// replay caches) for Step 6.  The checks below hold
 // the production result to the oracle field for field.
 #pragma once
 

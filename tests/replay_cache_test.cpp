@@ -3,8 +3,8 @@
 // cache, flat_replayer, and flat_replayer with the fault dictionary), and —
 // the load-bearing contract — diagnose()/run_campaign() results equal to
 // the uncached oracle (tests/reference_oracle.hpp), on the paper example,
-// across random systems, and on a system too wide for the compiled core,
-// where the reference Steps with the cache are the only path.
+// across random systems, and on a system whose packed states take two
+// words.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,7 +189,8 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
     // The fault dictionary: flat_replayer refuting by signature must agree
     // with flat_replayer replaying, on every report of a zoo model and of
     // 20 random systems and every hypothesis of the universe; every 7th
-    // report also against the uncached replay.
+    // report also against the uncached replay.  Then sampled reports of a
+    // two-word system.
     ctx.build_dictionary();
     ASSERT_NE(ctx.dictionary(), nullptr);
     expect_dictionary_identity(ctx, fx.report, true);
@@ -203,7 +204,7 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
                      describe(zoo, zoo_faults[i]));
         simulated_iut iut(zoo, zoo_faults[i]);
         const symptom_report report = collect_symptoms(
-            zoo, zoo_ctx.suite(), iut, &zoo_ctx.traces());
+            zoo, zoo_ctx.suite(), iut, zoo_ctx.traces());
         expect_dictionary_identity(zoo_ctx, report, i % 7 == 0);
     }
 
@@ -226,7 +227,7 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
                          describe(sys, faults[i]));
             simulated_iut iut(sys, faults[i]);
             const symptom_report report =
-                collect_symptoms(sys, suite, iut, &rctx.traces());
+                collect_symptoms(sys, suite, iut, rctx.traces());
             expect_dictionary_identity(rctx, report, i % 7 == 0);
             // A quarantined case's positions are in every signature, so
             // the dictionary must stand aside for such a report (one that
@@ -235,6 +236,21 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
                 expect_dictionary_identity(
                     rctx, quarantine_first_symptomatic(report), i % 7 == 0);
         }
+    }
+
+    // Two-word states: token_ring(65) on the runtime-width kernels, every
+    // hypothesis of the universe against the uncached replay too.
+    const system ring = models::token_ring(65);
+    const spec_context ring_ctx(ring, transition_tour(ring).suite);
+    ASSERT_EQ(ring_ctx.compiled().words, 2u);
+    ring_ctx.build_dictionary();
+    const auto ring_faults = enumerate_all_faults(ring);
+    for (std::size_t i = 0; i < ring_faults.size(); i += 97) {
+        SCOPED_TRACE("token_ring(65), IUT " + describe(ring, ring_faults[i]));
+        simulated_iut iut(ring, ring_faults[i]);
+        const symptom_report report = collect_symptoms(
+            ring, ring_ctx.suite(), iut, ring_ctx.traces());
+        expect_dictionary_identity(ring_ctx, report, true);
     }
 
     // A hypothesis whose chain exceeds the hop budget has no signature;
@@ -261,7 +277,7 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
         simulated_iut iut(pp, fault);
         symptom_report report;
         try {
-            report = collect_symptoms(pp, pp_suite, iut, &pp_ctx.traces());
+            report = collect_symptoms(pp, pp_suite, iut, pp_ctx.traces());
         } catch (const budget_exceeded&) {
             continue;  // the IUT itself livelocks
         }
@@ -496,15 +512,16 @@ TEST(replay_cache, step_counter_is_monotone_and_counted_per_apply) {
 }
 
 TEST(replay_cache, wide_system_diagnoses_through_reference_steps) {
-    // 65 stations need 65 packed state bits: the compiled core cannot hold
-    // the system, so Steps 4-5C run on the reference Steps with a
-    // replay_cache — the only path above 64 bits — and Step 6 through the
-    // engine, which computes with the reference joint search.
+    // 65 stations need 65 packed state bits, two words: the compiled
+    // Steps 4-5C run on the runtime-width kernels and Step 6 on the flat
+    // joint BFS, and the result must equal the reference Steps' (the
+    // oracle below), as on every narrower system.
     const system spec = models::token_ring(65);
     const test_suite suite = transition_tour(spec).suite;
     const spec_context ctx(spec, suite);
-    ASSERT_FALSE(ctx.compiled().packable);
-    ASSERT_FALSE(ctx.discrim().flat_search_available());
+    ASSERT_TRUE(ctx.compiled().packable);
+    ASSERT_EQ(ctx.compiled().words, 2u);
+    ASSERT_TRUE(ctx.discrim().flat_search_available());
 
     const auto faults = enumerate_all_faults(spec);
     std::size_t detected = 0;

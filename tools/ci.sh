@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI driver: build + test the two configurations that matter.
 #
-#   Release        — what users run; also the perf baseline.
+#   Release        — what users run; also the perf baseline.  Built with
+#                    -Werror (CFSMDIAG_WERROR), so a new warning fails CI.
 #   ThreadSanitizer — shakes data races out of the parallel campaign engine
 #                    (thread_pool, ordered observer emission, shared spec).
 #   ASan+UBSan     — memory/UB pass over the unreliable-lab stack (flaky
@@ -27,7 +28,7 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}")
 }
 
-run_config release -DCMAKE_BUILD_TYPE=Release
+run_config release -DCMAKE_BUILD_TYPE=Release -DCFSMDIAG_WERROR=ON
 
 # Bench smoke run: the Figure-1 campaigns plus the unreliable-lab closing
 # block, which asserts that noisy verdicts never contradict clean ones,
@@ -95,6 +96,10 @@ echo "=== [tsan] run ==="
 "${tsan_dir}/tests/budget_test"
 "${tsan_dir}/tools/cfsmdiag" campaign examples/data/figure1.cfsm \
       --max-faults 40 --jobs 4 --seed 7 >/dev/null
+# Above 64 state bits the packed states take two words: the runtime-width
+# compiled tables and the dictionary fill are shared across workers too.
+"${tsan_dir}/tools/cfsmdiag" campaign examples/data/token_ring65.cfsm \
+      --max-faults 200 --jobs 4 >/dev/null
 
 # ASan+UBSan config: the resilience suite plus a short flaky campaign —
 # the injection/retry/quarantine paths throw and unwind constantly, which
@@ -116,19 +121,24 @@ echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/checkpoint_test"
 # Arena lifetimes and the packed-state bit arithmetic are exactly what
 # ASan/UBSan are for: the bitset algebra and the compiled-vs-reference
-# property sweep run under both.
+# property sweep run under both, the latter with the multi-word packing
+# tests (compiled_core.packing_at_the_word_boundary: 64 against 65 bits and
+# a field that would straddle two words).
 "${asan_dir}/tests/bitset_test"
 "${asan_dir}/tests/property_test" \
       --gtest_filter='compiled_core.*'
 # The flat joint BFS indexes its dense visited set by mixed-radix product
 # indices, and the memo records what each search charged and noted: the
-# engine's identity tests and the budget suite (memo hits under step and
-# memory quotas) run under both.
+# engine's identity tests (random systems of one and of two words among
+# them) and the budget suite (memo hits under step and memory quotas) run
+# under both.
 "${asan_dir}/tests/discrim_engine_test"
 "${asan_dir}/tests/budget_test"
 # The fault dictionary's fill steps mutated chains through states the spec
 # never reaches and indexes its slots arithmetically; the replay identity
-# test checks every slot of a zoo model and 20 random systems.
+# test checks every slot of a zoo model, 20 random systems and the
+# two-word token_ring(65), whose diagnoses the wide-system test also holds
+# to the oracle.
 "${asan_dir}/tests/replay_cache_test"
 "${asan_dir}/tools/cfsmdiag" campaign examples/data/figure1.cfsm \
       --max-faults 20 --jobs 2 --seed 7 \
