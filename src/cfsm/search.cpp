@@ -1,67 +1,93 @@
 #include "cfsm/search.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
+
+#include "diag/compiled.hpp"
+#include "util/error.hpp"
 
 namespace cfsmdiag {
+namespace {
+
+/// The transitions `avoid` names, over the dense ids of `cs`.  An id past
+/// its machine's transitions names none, as it never fires.
+dyn_bitset avoided(const compiled_spec& cs, const system& spec,
+                   const std::vector<global_transition_id>& avoid) {
+    dyn_bitset banned(cs.total);
+    for (const global_transition_id& t : avoid) {
+        if (t.machine.value < spec.machine_count() &&
+            t.transition.value < spec.machine(t.machine).transitions().size())
+            banned.set(cs.dense_id(t));
+    }
+    return banned;
+}
+
+/// The BFS from the W words at `start`, which fail `goal`: FIFO over the
+/// kernel's nodes, columns in order, the goal tested on each newly visited
+/// state, giving up once `max_states` states are visited.
+template <std::size_t W, typename Goal>
+std::optional<std::vector<global_input>> bfs_search(
+    const compiled_spec& cs, const system& spec, const std::uint64_t* start,
+    const Goal& goal, const global_search_options& options) {
+    const dyn_bitset banned = avoided(cs, spec, options.avoid);
+    packed_bfs<W> bfs(cs, spec);
+    bfs.restart(start);
+    const auto cols = static_cast<std::uint32_t>(bfs.columns().size());
+    for (std::uint32_t head = 0; head < bfs.size(); ++head) {
+        for (std::uint32_t col = 0; col < cols; ++col) {
+            const std::vector<std::uint32_t>& fired = bfs.step(head, col);
+            if (options.skip_null_steps && fired.empty()) continue;
+            if (std::any_of(fired.begin(), fired.end(),
+                            [&](std::uint32_t d) { return banned.test(d); }))
+                continue;
+            if (!bfs.visit()) continue;
+            const std::uint32_t fresh = bfs.size() - 1;
+            if (goal(bfs.state(fresh))) {
+                std::vector<global_input> seq;
+                for (const std::uint32_t c : bfs.path(fresh))
+                    seq.push_back(bfs.columns()[c]);
+                return seq;
+            }
+            if (bfs.size() >= options.max_states) return std::nullopt;
+        }
+    }
+    return std::nullopt;
+}
+
+template <typename Goal>
+std::optional<std::vector<global_input>> search(
+    const compiled_spec& cs, const system& spec, const std::uint64_t* start,
+    const Goal& goal, const global_search_options& options) {
+    return cs.words == 1
+               ? bfs_search<1>(cs, spec, start, goal, options)
+               : bfs_search<runtime_words>(cs, spec, start, goal, options);
+}
+
+}  // namespace
 
 std::optional<std::vector<global_input>> global_transfer(
     const system& spec, const system_state& start,
     const std::function<bool(const system_state&)>& goal,
     const global_search_options& options) {
     if (goal(start)) return std::vector<global_input>{};
-
-    std::set<global_transition_id> banned(options.avoid.begin(),
-                                          options.avoid.end());
-    std::vector<global_input> inputs;
-    for (std::uint32_t mi = 0; mi < spec.machine_count(); ++mi) {
-        for (symbol s : spec.machine(machine_id{mi}).input_alphabet())
-            inputs.push_back(global_input::at(machine_id{mi}, s));
+    if (spec.total_transitions() == 0) return std::nullopt;  // no input
+    // A caller's start is checked as simulator::set_state checks it before
+    // a first step, then packed.
+    detail::require(start.states.size() == spec.machine_count(),
+                    "simulator::set_state: wrong machine count");
+    for (std::size_t i = 0; i < start.states.size(); ++i) {
+        detail::require(
+            start.states[i].value <
+                spec.machine(machine_id{static_cast<std::uint32_t>(i)})
+                    .state_count(),
+            "simulator::set_state: state out of range");
     }
-
-    struct node {
-        system_state state;
-        std::uint32_t parent;
-        global_input via;
-    };
-    std::vector<node> nodes{{start, invalid_index, global_input::reset()}};
-    std::map<system_state, bool> visited{{start, true}};
-    std::deque<std::uint32_t> frontier{0};
-    simulator sim(spec);
-
-    while (!frontier.empty()) {
-        const std::uint32_t idx = frontier.front();
-        frontier.pop_front();
-        for (const auto& in : inputs) {
-            sim.set_state(nodes[idx].state);
-            std::vector<global_transition_id> fired;
-            (void)sim.apply(in, &fired);
-            if (options.skip_null_steps && fired.empty()) continue;
-            const bool uses_banned = std::any_of(
-                fired.begin(), fired.end(),
-                [&](global_transition_id g) { return banned.count(g) != 0; });
-            if (uses_banned) continue;
-            if (!visited.emplace(sim.state(), true).second) continue;
-            nodes.push_back({sim.state(), idx, in});
-            const std::uint32_t fresh =
-                static_cast<std::uint32_t>(nodes.size() - 1);
-            if (goal(sim.state())) {
-                std::vector<global_input> seq;
-                std::uint32_t cur = fresh;
-                while (nodes[cur].parent != invalid_index) {
-                    seq.push_back(nodes[cur].via);
-                    cur = nodes[cur].parent;
-                }
-                std::reverse(seq.begin(), seq.end());
-                return seq;
-            }
-            if (visited.size() >= options.max_states) return std::nullopt;
-            frontier.push_back(fresh);
-        }
-    }
-    return std::nullopt;
+    const compiled_spec cs = compile_spec(spec, {}, {});
+    std::vector<std::uint64_t> packed(cs.words);
+    cs.pack(start, packed.data());
+    return search(
+        cs, spec, packed.data(),
+        [&](const std::uint64_t* st) { return goal(cs.unpack(st)); },
+        options);
 }
 
 std::optional<std::vector<global_input>> global_transfer_to_machine_state(
@@ -71,6 +97,16 @@ std::optional<std::vector<global_input>> global_transfer_to_machine_state(
         spec, start,
         [m, s](const system_state& st) { return st.states[m.value] == s; },
         options);
+}
+
+std::optional<std::vector<global_input>> global_transfer_to_machine_state(
+    const compiled_spec& cs, const system& spec, machine_id m, state_id s,
+    const global_search_options& options) {
+    const auto goal = [&](const std::uint64_t* st) {
+        return cs.field(st, m.value) == s.value;
+    };
+    if (goal(cs.initial_packed.data())) return std::vector<global_input>{};
+    return search(cs, spec, cs.initial_packed.data(), goal, options);
 }
 
 system_state initial_global_state(const system& spec) {

@@ -5,7 +5,9 @@
 // sequence from a given global state to one satisfying a goal, optionally
 // *avoiding* a set of transitions — the paper requires additional diagnostic
 // tests to "not involve any candidate transition in any of the DCtr or DCco
-// sets".
+// sets".  The search runs on packed_bfs (diag/compiled.hpp), the kernel it
+// shares with the transition tour: inputs in all_port_inputs order, FIFO
+// frontier, the goal tested on each newly visited state.
 #pragma once
 
 #include <functional>
@@ -16,10 +18,13 @@
 
 namespace cfsmdiag {
 
+struct compiled_spec;
+
 struct global_search_options {
     /// Transitions that must not fire anywhere along the sequence.
     std::vector<global_transition_id> avoid;
-    /// Visited-set size bound.
+    /// Visited-set size bound: the search gives up once it has visited
+    /// this many states.
     std::size_t max_states = 200'000;
     /// Skip ε steps (unspecified inputs) while searching; they never change
     /// state, so they are never useful in a transfer sequence.
@@ -29,17 +34,26 @@ struct global_search_options {
 /// Shortest input sequence from `start` to a state satisfying `goal`
 /// without firing avoided transitions.  Returns nullopt if no such
 /// sequence exists within the bound.  The empty sequence is returned if
-/// `start` already satisfies `goal`.
+/// `start` already satisfies `goal`.  Lowers `spec` for this one search.
 [[nodiscard]] std::optional<std::vector<global_input>> global_transfer(
     const system& spec, const system_state& start,
     const std::function<bool(const system_state&)>& goal,
     const global_search_options& options = {});
 
-/// Convenience goal: machine `m` is in state `s`.
+/// Convenience goal: machine `m` is in state `s`.  Lowers `spec` for this
+/// one search.
 [[nodiscard]] std::optional<std::vector<global_input>>
 global_transfer_to_machine_state(const system& spec,
                                  const system_state& start, machine_id m,
                                  state_id s,
+                                 const global_search_options& options = {});
+
+/// The same search from the initial global state, on `cs`, a lowering of
+/// `spec` (compile_spec(spec, {}, {}) will do), so that a caller with many
+/// transfers to find lowers the spec once.
+[[nodiscard]] std::optional<std::vector<global_input>>
+global_transfer_to_machine_state(const compiled_spec& cs, const system& spec,
+                                 machine_id m, state_id s,
                                  const global_search_options& options = {});
 
 /// The global state after reset.

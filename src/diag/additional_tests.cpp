@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "diag/compiled.hpp"
 #include "fsm/separate.hpp"
 
 namespace cfsmdiag {
@@ -94,7 +95,9 @@ std::vector<proposed_test> propose_structured_tests(
         search.avoid.assign(avoid.begin(), avoid.end());
     }
 
-    const system_state init = initial_global_state(spec);
+    // Without a caller's search, every transfer below runs on one lowering.
+    std::optional<compiled_spec> lowered;
+    if (!find_transfer) lowered.emplace(compile_spec(spec, {}, {}));
     std::set<std::vector<global_input>> seen_tests;
 
     auto add = [&](std::vector<global_input> body,
@@ -111,9 +114,9 @@ std::vector<proposed_test> propose_structured_tests(
         const machine_id m = g.id.machine;
 
         const auto transfer =
-            find_transfer ? find_transfer(m, t.from, search)
-                          : global_transfer_to_machine_state(spec, init, m,
-                                                             t.from, search);
+            lowered ? global_transfer_to_machine_state(*lowered, spec, m,
+                                                       t.from, search)
+                    : find_transfer(m, t.from, search);
         if (!transfer) continue;  // unreachable under the ambiguity rule
 
         std::vector<global_input> base = *transfer;

@@ -162,11 +162,12 @@ flat_override lower_override(const compiled_spec& cs,
     return f;
 }
 
-template <std::size_t W>
+template <std::size_t W, typename OnFire>
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t* state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
-                        std::size_t ov_count, bool* fired, bool* target_hit) {
+                        std::size_t ov_count, bool* fired, bool* target_hit,
+                        OnFire on_fire) {
     ++detail::simulated_step_count;
     if (fired) *fired = false;
     if (target_hit) *target_hit = false;
@@ -186,6 +187,7 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                             s * cs.disp_stride[current] + msg];
         if (d == invalid_index) return 0;  // unspecified: ε, no change
         if (fired) *fired = true;
+        on_fire(d);
         const flat_override* hit = nullptr;
         for (std::size_t j = 0; j < ov_count; ++j) {
             if (ovs[j].target == d) {
@@ -222,10 +224,11 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
 template std::uint64_t flat_step<1>(const compiled_spec&, const system&,
                                     std::uint64_t*, std::uint32_t,
                                     std::uint32_t, const flat_override*,
-                                    std::size_t, bool*, bool*);
+                                    std::size_t, bool*, bool*, no_fire_hook);
 template std::uint64_t flat_step<runtime_words>(
     const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
-    std::uint32_t, const flat_override*, std::size_t, bool*, bool*);
+    std::uint32_t, const flat_override*, std::size_t, bool*, bool*,
+    no_fire_hook);
 
 compiled_spec compile_spec(const system& spec, const test_suite& suite,
                            const suite_traces& traces) {
@@ -610,5 +613,32 @@ bool flat_replayer::replay(const transition_override& ov) {
     const flat_override f = lower_override(*cs_, ov);
     return cs_->words == 1 ? replay<1>(f) : replay<runtime_words>(f);
 }
+
+// packed_bfs's stepper.  packed_bfs itself lives in a file of its own:
+// with it in this translation unit, GCC compiled the replayer's hot loops
+// differently (and perfbench's one_shot read a slower fault_p50), while with
+// only these two instantiations added at the end, every other function here
+// compiles to the same instructions as without them.
+
+void fire_list::operator()(std::uint32_t d) const {
+    out->push_back(d);
+    if (!cs->is_internal[d]) return;
+    const std::uint32_t to = cs->dest[d];
+    detail::require(to < cs->machine_offset.size() - 1 && to != cs->owner[d],
+                    [&] {
+                        return "simulator::apply: invalid internal "
+                               "destination in " +
+                               spec->transition_label(cs->global_id(d));
+                    });
+}
+
+template std::uint64_t flat_step<1, fire_list>(
+    const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
+    std::uint32_t, const flat_override*, std::size_t, bool*, bool*,
+    fire_list);
+template std::uint64_t flat_step<runtime_words, fire_list>(
+    const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
+    std::uint32_t, const flat_override*, std::size_t, bool*, bool*,
+    fire_list);
 
 }  // namespace cfsmdiag

@@ -38,10 +38,12 @@
 // from the report's without replaying it (DESIGN.md §5i).
 //
 // The kernels that step packed states (flat_step, the replayer, the
-// dictionary fill and the discrimination engine's joint BFS) are templates
-// on the word count W: W = 1 is the one-word code, with every word index a
-// constant 0, and W = runtime_words reads the width from `words` (DESIGN.md
-// §5e).  Each entry point picks the instantiation once per call.
+// dictionary fill, the discrimination engine's joint BFS and packed_bfs,
+// the search under the transition tour and the transfer sequences) are
+// templates on the word count W: W = 1 is the one-word code, with every
+// word index a constant 0, and W = runtime_words reads the width from
+// `words` (DESIGN.md §5e).  Each entry point picks the instantiation once
+// per call.
 #pragma once
 
 #include <algorithm>
@@ -165,6 +167,20 @@ struct compiled_spec {
             out[state_word[m]] |= static_cast<std::uint64_t>(s.states[m].value)
                                   << state_shift[m];
     }
+    /// Machine m's local state in the packed state at `in`.
+    [[nodiscard]] std::uint32_t field(const std::uint64_t* in,
+                                      std::uint32_t m) const noexcept {
+        return static_cast<std::uint32_t>((in[state_word[m]] >> state_shift[m]) &
+                                          state_mask[m]);
+    }
+    /// The system_state packed at `in` (the inverse of pack).
+    [[nodiscard]] system_state unpack(const std::uint64_t* in) const {
+        system_state s;
+        s.states.reserve(state_word.size());
+        for (std::uint32_t m = 0; m < state_word.size(); ++m)
+            s.states.push_back(state_id{field(in, m)});
+        return s;
+    }
 
     /// Words per state in a W-word kernel: W, or `words` for runtime_words.
     template <std::size_t W>
@@ -213,22 +229,102 @@ struct flat_override {
 /// carry no port), so packed equality is observation equality.
 [[nodiscard]] std::uint64_t pack_observation(const observation& o) noexcept;
 
+/// flat_step's default hook: fired transitions go unreported, and the
+/// stepper compiles as if it had no hook.
+struct no_fire_hook {
+    void operator()(std::uint32_t) const noexcept {}
+};
+
 /// One global input applied to the packed state at `state` (W words, see
 /// compiled_spec::words_in) under `ov_count` overrides (distinct targets).
 /// Returns the packed observation; when `fired` is non-null it is set to
 /// whether the chain fired at least one transition (the reference search's
 /// `progressed` bit), and when `target_hit` is non-null, to whether any
 /// overridden target fired (the discrimination engine's liveness seed).
-/// Mutates `state` in place.  Error behaviour — internal ε message, hop
-/// budget — matches simulator::apply exactly, message text included;
-/// `spec` is used for error labels only.  Instantiated for W = 1 and
-/// runtime_words.
-template <std::size_t W>
+/// `on_fire` is called with the dense id of every transition the chain
+/// fires, in firing order.  Mutates `state` in place.  Error behaviour —
+/// internal ε message, hop budget — matches simulator::apply exactly,
+/// message text included; `spec` is used for error labels only.
+/// Instantiated for W = 1 and runtime_words, with no_fire_hook and with
+/// fire_list.
+template <std::size_t W, typename OnFire = no_fire_hook>
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t* state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
                         std::size_t ov_count, bool* fired = nullptr,
-                        bool* target_hit = nullptr);
+                        bool* target_hit = nullptr, OnFire on_fire = {});
+
+/// packed_bfs's flat_step hook: appends each fired dense id to `out`, and
+/// throws as simulator::apply does when an internal transition addresses no
+/// other machine (flat_step follows `dest` unchecked, and a system that
+/// skipped validate_structure may carry such a transition).
+struct fire_list {
+    const compiled_spec* cs;
+    const system* spec;
+    std::vector<std::uint32_t>* out;
+
+    void operator()(std::uint32_t d) const;
+};
+
+/// The BFS kernel of the spec's own global searches: the transition
+/// tour's extensions (testgen/tour) and the transfer sequences of Step 6
+/// and testgen (cfsm/search).  Node 0 is the start; nodes keep W-word
+/// packed states contiguously, with parent and via-column arrays, and a
+/// packed_set over their words is the visited set.  The columns are the
+/// port inputs in all_port_inputs(spec) order.  A step is flat_step on the
+/// spec, with no overrides and fire_list as its hook, so it ticks
+/// simulated_step_count once and throws what simulator::apply throws.  The
+/// kernel owns storage and stepping; each caller's loop keeps
+/// its own rules: what counts as a hit, which steps it skips, and what its
+/// visited cap does.  Every buffer is the kernel's own and dies with it.
+/// Instantiated for W = 1 and runtime_words.
+template <std::size_t W>
+class packed_bfs {
+  public:
+    /// `cs` must be a lowering of `spec` (compile_spec(spec, {}, {})
+    /// suffices); both must outlive the kernel.
+    packed_bfs(const compiled_spec& cs, const system& spec);
+
+    [[nodiscard]] const std::vector<global_input>& columns() const noexcept {
+        return columns_;
+    }
+    /// Forgets every node; the W words at `start` become node 0.
+    void restart(const std::uint64_t* start);
+    [[nodiscard]] std::uint32_t size() const noexcept {
+        return static_cast<std::uint32_t>(parent_.size());
+    }
+    [[nodiscard]] const std::uint64_t* state(std::uint32_t n) const noexcept {
+        return states_.data() + n * w_;
+    }
+
+    /// Applies column `col` to the W words at `state`, in place; returns
+    /// the dense ids it fired, in firing order (empty for an ε step).
+    const std::vector<std::uint32_t>& advance(std::uint64_t* state,
+                                              std::uint32_t col);
+    /// Applies column `col` to a copy of node n's state (see visit).
+    const std::vector<std::uint32_t>& step(std::uint32_t n,
+                                           std::uint32_t col);
+    /// Adds the last step's state as node size(), child of the node it
+    /// stepped by its column, unless an equal state is a node already;
+    /// returns whether it was added.
+    bool visit();
+    /// The columns from node 0 to node n, in order.
+    [[nodiscard]] std::vector<std::uint32_t> path(std::uint32_t n) const;
+
+  private:
+    const compiled_spec* cs_;
+    const system* spec_;
+    std::size_t w_;
+    std::vector<global_input> columns_;
+    std::vector<std::uint64_t> states_;
+    std::vector<std::uint32_t> parent_;
+    std::vector<std::uint32_t> via_;
+    packed_set visited_;
+    std::vector<std::uint64_t> next_;  ///< the last step's state
+    std::uint32_t next_parent_ = 0;
+    std::uint32_t next_via_ = 0;
+    std::vector<std::uint32_t> fired_;
+};
 
 /// Step 4 as bitmaps: one fired-prefix bitmap per symptomatic case (steps
 /// [0, first_symptom]) over the dense universe, plus their intersection

@@ -1,7 +1,6 @@
 #include "diag/discrim_engine.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "diag/additional_tests.hpp"
 #include "diag/discriminate.hpp"
@@ -233,30 +232,8 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
         g_dense.begin(joint_bound);
         g_dense.insert(joint_index(states.data()));
     }
-    struct node_hash {
-        const std::vector<std::uint64_t>* st;
-        std::size_t kw;
-        std::size_t operator()(std::uint32_t n) const noexcept {
-            std::size_t h = 0x811c9dc5u;
-            for (std::size_t i = 0; i < kw; ++i) {
-                const std::uint64_t v = (*st)[n * kw + i];
-                h = (h ^ v) * 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-            }
-            return h;
-        }
-    };
-    struct node_eq {
-        const std::vector<std::uint64_t>* st;
-        std::size_t kw;
-        bool operator()(std::uint32_t a, std::uint32_t b) const noexcept {
-            return std::equal(st->begin() + a * kw,
-                              st->begin() + (a + 1) * kw,
-                              st->begin() + b * kw);
-        }
-    };
-    std::unordered_set<std::uint32_t, node_hash, node_eq> hashed(
-        16, node_hash{&states, kw}, node_eq{&states, kw});
-    if (!dense) hashed.insert(0);
+    packed_set hashed(kw);
+    if (!dense) hashed.insert(states.data(), 0);
 
     std::vector<std::uint64_t> cur(kw);
     std::vector<std::uint64_t> next(kw);
@@ -304,12 +281,12 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
             if (dense) {
                 inserted = g_dense.insert(joint_index(next.data()));
             } else {
-                // Tentative push: hash/equality read the candidate's words
-                // in place; roll back when already visited.
+                // Tentative push: the set reads the candidate's words in
+                // place; roll back when already visited.
                 const auto candidate =
                     static_cast<std::uint32_t>(parent.size());
                 states.insert(states.end(), next.begin(), next.end());
-                if (hashed.insert(candidate).second) {
+                if (hashed.insert(states.data(), candidate)) {
                     inserted = true;
                 } else {
                     states.resize(states.size() - kw);
@@ -484,8 +461,7 @@ std::optional<std::vector<global_input>> discrim_engine::transfer_for(
     const std::lock_guard<std::mutex> lock(transfer_mutex_);
     const auto it = transfer_cache_.find(key);
     if (it != transfer_cache_.end()) return it->second;
-    auto transfer = global_transfer_to_machine_state(
-        *spec_, initial_global_state(*spec_), m, s, search);
+    auto transfer = global_transfer_to_machine_state(*cs_, *spec_, m, s, search);
     transfer_cache_.emplace(std::move(key), transfer);
     return transfer;
 }

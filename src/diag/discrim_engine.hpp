@@ -141,9 +141,10 @@ class discrim_engine {
         const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
         std::size_t& memory_noted) const;
 
-    /// global_transfer_to_machine_state from reset, once per (machine,
-    /// state, search options): Step 6 derives its proposals again after
-    /// every applied test, and their transfers mostly repeat.
+    /// global_transfer_to_machine_state from reset on the context's own
+    /// lowering `cs_`, once per (machine, state, search options): Step 6
+    /// derives its proposals again after every applied test, and their
+    /// transfers mostly repeat.
     [[nodiscard]] std::optional<std::vector<global_input>> transfer_for(
         machine_id m, state_id s, const global_search_options& search) const;
 

@@ -9,10 +9,13 @@ std::vector<symbol> admissible_faulty_outputs(
     global_transition_id id) {
     const transition& t = spec.transition_at(id);
     const machine_alphabets& a = alphabets[id.machine.value];
-    std::vector<symbol> pool =
-        t.kind == output_kind::external
-            ? a.oeo
-            : a.oio_to[t.destination.value];
+    // compute_alphabets skips a destination past the last machine (a
+    // system that skipped validate_structure); it admits no message.
+    std::vector<symbol> pool;
+    if (t.kind == output_kind::external)
+        pool = a.oeo;
+    else if (t.destination.value < a.oio_to.size())
+        pool = a.oio_to[t.destination.value];
     pool.erase(std::remove(pool.begin(), pool.end(), t.output), pool.end());
     return pool;
 }

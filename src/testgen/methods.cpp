@@ -1,5 +1,6 @@
 #include "testgen/methods.hpp"
 
+#include "diag/compiled.hpp"
 #include "fsm/distinguish.hpp"
 
 namespace cfsmdiag {
@@ -17,7 +18,7 @@ std::string to_string(verification_method m) {
 method_suite_result per_machine_method_suite(const system& spec,
                                              verification_method method) {
     method_suite_result result;
-    const system_state init = initial_global_state(spec);
+    const compiled_spec cs = compile_spec(spec, {}, {});
 
     for (std::uint32_t mi = 0; mi < spec.machine_count(); ++mi) {
         const machine_id m{mi};
@@ -65,8 +66,8 @@ method_suite_result per_machine_method_suite(const system& spec,
              ti < static_cast<std::uint32_t>(machine.transitions().size());
              ++ti) {
             const transition& t = machine.transitions()[ti];
-            const auto transfer = global_transfer_to_machine_state(
-                spec, init, m, t.from);
+            const auto transfer =
+                global_transfer_to_machine_state(cs, spec, m, t.from);
             if (!transfer) {
                 result.unreachable.push_back({m, transition_id{ti}});
                 continue;

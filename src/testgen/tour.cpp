@@ -1,101 +1,84 @@
 #include "testgen/tour.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
+
+#include "diag/compiled.hpp"
 
 namespace cfsmdiag {
 namespace {
 
-/// All port-appliable global inputs of the system.
-std::vector<global_input> all_inputs(const system& spec) {
-    std::vector<global_input> inputs;
-    for (std::uint32_t mi = 0; mi < spec.machine_count(); ++mi) {
-        for (symbol s : spec.machine(machine_id{mi}).input_alphabet())
-            inputs.push_back(global_input::at(machine_id{mi}, s));
+/// Appends extensions to `tour` until every transition is covered or none
+/// is reachable from the current global state.  `uncovered` holds dense
+/// ids of `cs`.
+template <std::size_t W>
+void extend_tour(const compiled_spec& cs, const system& spec,
+                 std::size_t max_search_states, dyn_bitset& uncovered,
+                 std::vector<global_input>& tour) {
+    packed_bfs<W> bfs(cs, spec);
+    const auto cols = static_cast<std::uint32_t>(bfs.columns().size());
+    std::size_t left = uncovered.count();
+
+    // BFS from the current global state for the shortest extension whose
+    // final step fires at least one uncovered transition.
+    const auto find_extension = [&](const std::uint64_t* start)
+        -> std::optional<std::vector<std::uint32_t>> {
+        bfs.restart(start);
+        for (std::uint32_t head = 0; head < bfs.size(); ++head) {
+            for (std::uint32_t col = 0; col < cols; ++col) {
+                const std::vector<std::uint32_t>& fired = bfs.step(head, col);
+                if (std::any_of(fired.begin(), fired.end(),
+                                [&](std::uint32_t d) {
+                                    return uncovered.test(d);
+                                })) {
+                    std::vector<std::uint32_t> ext = bfs.path(head);
+                    ext.push_back(col);
+                    return ext;
+                }
+                if (fired.empty()) continue;  // ε step: no progress
+                if (bfs.size() >= max_search_states) continue;
+                (void)bfs.visit();
+            }
+        }
+        return std::nullopt;
+    };
+
+    std::vector<std::uint64_t> cursor = cs.initial_packed;
+    while (left != 0) {
+        const auto ext = find_extension(cursor.data());
+        if (!ext) break;  // nothing more reachable from here or anywhere
+        for (const std::uint32_t col : *ext) {
+            for (const std::uint32_t d : bfs.advance(cursor.data(), col)) {
+                if (!uncovered.test(d)) continue;
+                uncovered.clear(d);
+                --left;
+            }
+            tour.push_back(bfs.columns()[col]);
+        }
     }
-    return inputs;
 }
 
 }  // namespace
 
 tour_result transition_tour(const system& spec,
                             std::size_t max_search_states) {
-    const auto inputs = all_inputs(spec);
-    std::set<global_transition_id> uncovered;
-    for (auto id : spec.all_transitions()) uncovered.insert(id);
-
-    simulator sim(spec);
-    sim.reset();
+    const compiled_spec cs = compile_spec(spec, {}, {});
+    dyn_bitset uncovered(cs.total);
+    uncovered.set_all();
     std::vector<global_input> tour{global_input::reset()};
-
-    // BFS from the current global state for the shortest extension whose
-    // final step fires at least one uncovered transition.
-    auto find_extension =
-        [&](const system_state& start)
-        -> std::optional<std::vector<global_input>> {
-        struct node {
-            system_state state;
-            std::uint32_t parent;
-            global_input via;
-        };
-        std::vector<node> nodes{{start, invalid_index,
-                                 global_input::reset()}};
-        std::map<system_state, bool> visited{{start, true}};
-        std::deque<std::uint32_t> frontier{0};
-        while (!frontier.empty()) {
-            const std::uint32_t idx = frontier.front();
-            frontier.pop_front();
-            for (const auto& in : inputs) {
-                sim.set_state(nodes[idx].state);
-                std::vector<global_transition_id> fired;
-                (void)sim.apply(in, &fired);
-                const bool hits = std::any_of(
-                    fired.begin(), fired.end(), [&](global_transition_id g) {
-                        return uncovered.count(g) != 0;
-                    });
-                if (hits) {
-                    std::vector<global_input> seq{in};
-                    std::uint32_t cur = idx;
-                    while (nodes[cur].parent != invalid_index) {
-                        seq.push_back(nodes[cur].via);
-                        cur = nodes[cur].parent;
-                    }
-                    std::reverse(seq.begin(), seq.end());
-                    return seq;
-                }
-                if (fired.empty()) continue;  // ε step: no progress
-                if (visited.size() >= max_search_states) continue;
-                if (visited.emplace(sim.state(), true).second) {
-                    nodes.push_back({sim.state(), idx, in});
-                    frontier.push_back(
-                        static_cast<std::uint32_t>(nodes.size() - 1));
-                }
-            }
-        }
-        return std::nullopt;
-    };
-
-    sim.reset();
-    system_state cursor = sim.state();
-    while (!uncovered.empty()) {
-        auto ext = find_extension(cursor);
-        if (!ext) break;  // nothing more reachable from here or anywhere
-        for (const auto& in : *ext) {
-            sim.set_state(cursor);
-            std::vector<global_transition_id> fired;
-            (void)sim.apply(in, &fired);
-            cursor = sim.state();
-            tour.push_back(in);
-            for (auto g : fired) uncovered.erase(g);
-        }
+    if (cs.words == 1) {
+        extend_tour<1>(cs, spec, max_search_states, uncovered, tour);
+    } else {
+        extend_tour<runtime_words>(cs, spec, max_search_states, uncovered,
+                                   tour);
     }
 
     tour_result result;
     result.suite.add(
         test_case::from_inputs("tour", std::move(tour), false));
-    result.uncovered.assign(uncovered.begin(), uncovered.end());
+    uncovered.for_each_set([&](std::size_t d) {
+        result.uncovered.push_back(
+            cs.global_id(static_cast<std::uint32_t>(d)));
+    });
     return result;
 }
 

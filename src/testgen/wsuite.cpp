@@ -1,12 +1,13 @@
 #include "testgen/wsuite.hpp"
 
+#include "diag/compiled.hpp"
 #include "fsm/cover.hpp"
 
 namespace cfsmdiag {
 
 w_suite_result per_machine_w_suite(const system& spec) {
     w_suite_result result;
-    const system_state init = initial_global_state(spec);
+    const compiled_spec cs = compile_spec(spec, {}, {});
 
     for (std::uint32_t mi = 0; mi < spec.machine_count(); ++mi) {
         const machine_id m{mi};
@@ -19,8 +20,8 @@ w_suite_result per_machine_w_suite(const system& spec) {
              ti < static_cast<std::uint32_t>(machine.transitions().size());
              ++ti) {
             const transition& t = machine.transitions()[ti];
-            const auto transfer = global_transfer_to_machine_state(
-                spec, init, m, t.from);
+            const auto transfer =
+                global_transfer_to_machine_state(cs, spec, m, t.from);
             if (!transfer) {
                 result.unreachable.push_back({m, transition_id{ti}});
                 continue;

@@ -8,7 +8,9 @@
 // set-bit iteration (which matches std::set iteration order, the property
 // the reporting boundary relies on).  `bit_arena` is a bump allocator for
 // the per-diagnosis scratch sets: a campaign resets it between faults
-// instead of churning the heap.
+// instead of churning the heap.  `epoch_set` and `packed_set` are the BFS
+// kernels' visited sets, dense over a product index and hashed over packed
+// state words.
 #pragma once
 
 #include <algorithm>
@@ -265,6 +267,77 @@ class epoch_set {
   private:
     std::vector<std::uint8_t> tags_;
     std::uint8_t epoch_ = 0;
+};
+
+/// Hashed membership set of node numbers keyed on the `stride` u64 words
+/// each node owns in a caller's contiguous array (node n's words start at
+/// words + n * stride): open addressing with linear probing over a
+/// power-of-two table of u32 slots kept at most half full, grown by
+/// rehashing, so nothing is allocated per node.  The BFS kernels' visited
+/// set where no dense index fits: the caller appends a node's words, then
+/// inserts the node, and drops the words again when an equal node was
+/// already present.
+class packed_set {
+  public:
+    explicit packed_set(std::size_t stride) : stride_(stride) {}
+
+    /// Inserts node `n`, whose words must already be in `words`; returns
+    /// true if no node with equal words was present.  `words` must hold
+    /// every node inserted so far (it may have moved since).
+    bool insert(const std::uint64_t* words, std::uint32_t n) {
+        if (2 * (size_ + 1) > slots_.size()) grow(words);
+        const std::uint64_t* key = words + n * stride_;
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+            const std::uint32_t at = slots_[i];
+            if (at == empty) {
+                slots_[i] = n;
+                ++size_;
+                return true;
+            }
+            if (std::equal(key, key + stride_, words + at * stride_))
+                return false;
+        }
+    }
+
+    /// Forgets every node, keeping the table.
+    void clear() noexcept {
+        std::fill(slots_.begin(), slots_.end(), empty);
+        size_ = 0;
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  private:
+    static constexpr std::uint32_t empty = ~std::uint32_t{0};
+
+    [[nodiscard]] std::uint64_t hash(const std::uint64_t* key) const noexcept {
+        std::uint64_t h = 0;
+        for (std::size_t i = 0; i < stride_; ++i)
+            h = (h ^ key[i]) * 0x9e3779b97f4a7c15ull;
+        // Packed states vary in their low fields; fold the high product
+        // bits down into the bits the mask keeps.
+        h ^= h >> 29;
+        h *= 0xbf58476d1ce4e5b9ull;
+        return h ^ (h >> 32);
+    }
+
+    void grow(const std::uint64_t* words) {
+        std::vector<std::uint32_t> old(
+            std::max<std::size_t>(16, 2 * slots_.size()), empty);
+        old.swap(slots_);
+        const std::size_t mask = slots_.size() - 1;
+        for (const std::uint32_t n : old) {
+            if (n == empty) continue;
+            std::size_t i = hash(words + n * stride_) & mask;
+            while (slots_[i] != empty) i = (i + 1) & mask;
+            slots_[i] = n;
+        }
+    }
+
+    std::size_t stride_;
+    std::vector<std::uint32_t> slots_;
+    std::size_t size_ = 0;
 };
 
 }  // namespace cfsmdiag

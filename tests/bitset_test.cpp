@@ -1,8 +1,9 @@
 // util/bitset.hpp: dyn_bitset set algebra against a std::set reference
 // (including empty-set and full-universe edges and word-boundary widths),
 // arena-backed storage stability, the ascending-iteration property the
-// compiled core's reporting boundary relies on, and epoch_set's one-byte
-// tags across their wraparound.
+// compiled core's reporting boundary relies on, epoch_set's one-byte
+// tags across their wraparound, and packed_set against a std::set of keys
+// across its rehashes and clears.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -208,6 +209,31 @@ TEST(epoch_set, wraparound_never_reads_stale_tags) {
         EXPECT_TRUE(set.insert(q));
         EXPECT_FALSE(set.insert(q));
         EXPECT_TRUE(set.contains(q));
+    }
+}
+
+TEST(packed_set, matches_std_set_across_growth_and_clear) {
+    // Keys of two words drawn from a small range, so duplicates are common,
+    // appended and rolled back the way the BFS kernels do.
+    constexpr std::size_t stride = 2;
+    rng random(17);
+    packed_set set(stride);
+    for (int round = 0; round < 3; ++round) {
+        std::vector<std::uint64_t> words;
+        std::set<std::vector<std::uint64_t>> want;
+        set.clear();
+        for (int i = 0; i < 5000; ++i) {
+            const std::vector<std::uint64_t> key{random.below(40),
+                                                 random.below(60) << 40};
+            const auto n = static_cast<std::uint32_t>(words.size() / stride);
+            words.insert(words.end(), key.begin(), key.end());
+            const bool fresh = want.insert(key).second;
+            ASSERT_EQ(set.insert(words.data(), n), fresh) << "round " << round
+                                                          << ", key " << i;
+            if (!fresh) words.resize(words.size() - stride);
+        }
+        EXPECT_EQ(set.size(), want.size());
+        EXPECT_GT(want.size(), 1000u);
     }
 }
 

@@ -6,23 +6,192 @@
 //                replay_cache, so every hypothesis re-runs the whole suite
 //                from reset (the paper's findendingstates / calouts /
 //                processtate&out),
-//   Step 6       propose_structured_tests on a plain tracker, the reference
-//                joint search splitting_sequence(spec, ...), and filtering
-//                by observe() on each hypothesis.
+//   Step 6       propose_structured_tests on a plain tracker with the
+//                reference transfer search below, the reference joint
+//                search splitting_sequence(spec, ...), and filtering by
+//                observe() on each hypothesis,
+// and the searches over the spec's own global states as std::map BFSes on
+// the reference simulator: reference_tour (transition_tour's oracle) and
+// reference_transfer (global_transfer's).
 // diagnose() runs none of this: it takes the compiled core for Steps 4-5C
 // and the context's discrimination engine (memo, proposal, transfer and
-// replay caches) for Step 6.  The checks below hold
-// the production result to the oracle field for field.
+// replay caches) for Step 6, and the tour and transfers run on packed_bfs.
+// The checks below hold the production result to the oracle field for
+// field.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
 #include <optional>
+#include <set>
 
 #include "cfsmdiag.hpp"
 
 namespace cfsmdiag::ref_oracle {
+
+/// Every port-appliable global input, machines in index order, each input
+/// alphabet in sorted-id order: enumerated here, not by all_port_inputs,
+/// so that the searches below share nothing with the code they check.
+inline std::vector<global_input> port_inputs(const system& spec) {
+    std::vector<global_input> inputs;
+    for (std::uint32_t mi = 0; mi < spec.machine_count(); ++mi) {
+        for (symbol s : spec.machine(machine_id{mi}).input_alphabet())
+            inputs.push_back(global_input::at(machine_id{mi}, s));
+    }
+    return inputs;
+}
+
+/// transition_tour's oracle: the greedy tour with each extension found by
+/// a std::map BFS over system_states, stepping the reference simulator.
+inline tour_result reference_tour(const system& spec,
+                                  std::size_t max_search_states = 200'000) {
+    const auto inputs = port_inputs(spec);
+    std::set<global_transition_id> uncovered;
+    for (auto id : spec.all_transitions()) uncovered.insert(id);
+
+    simulator sim(spec);
+    sim.reset();
+    std::vector<global_input> tour{global_input::reset()};
+
+    // BFS from the current global state for the shortest extension whose
+    // final step fires at least one uncovered transition.
+    auto find_extension =
+        [&](const system_state& start)
+        -> std::optional<std::vector<global_input>> {
+        struct node {
+            system_state state;
+            std::uint32_t parent;
+            global_input via;
+        };
+        std::vector<node> nodes{{start, invalid_index,
+                                 global_input::reset()}};
+        std::map<system_state, bool> visited{{start, true}};
+        std::deque<std::uint32_t> frontier{0};
+        while (!frontier.empty()) {
+            const std::uint32_t idx = frontier.front();
+            frontier.pop_front();
+            for (const auto& in : inputs) {
+                sim.set_state(nodes[idx].state);
+                std::vector<global_transition_id> fired;
+                (void)sim.apply(in, &fired);
+                const bool hits = std::any_of(
+                    fired.begin(), fired.end(), [&](global_transition_id g) {
+                        return uncovered.count(g) != 0;
+                    });
+                if (hits) {
+                    std::vector<global_input> seq{in};
+                    std::uint32_t cur = idx;
+                    while (nodes[cur].parent != invalid_index) {
+                        seq.push_back(nodes[cur].via);
+                        cur = nodes[cur].parent;
+                    }
+                    std::reverse(seq.begin(), seq.end());
+                    return seq;
+                }
+                if (fired.empty()) continue;  // ε step: no progress
+                if (visited.size() >= max_search_states) continue;
+                if (visited.emplace(sim.state(), true).second) {
+                    nodes.push_back({sim.state(), idx, in});
+                    frontier.push_back(
+                        static_cast<std::uint32_t>(nodes.size() - 1));
+                }
+            }
+        }
+        return std::nullopt;
+    };
+
+    sim.reset();
+    system_state cursor = sim.state();
+    while (!uncovered.empty()) {
+        auto ext = find_extension(cursor);
+        if (!ext) break;  // nothing more reachable from here or anywhere
+        for (const auto& in : *ext) {
+            sim.set_state(cursor);
+            std::vector<global_transition_id> fired;
+            (void)sim.apply(in, &fired);
+            cursor = sim.state();
+            tour.push_back(in);
+            for (auto g : fired) uncovered.erase(g);
+        }
+    }
+
+    tour_result result;
+    result.suite.add(
+        test_case::from_inputs("tour", std::move(tour), false));
+    result.uncovered.assign(uncovered.begin(), uncovered.end());
+    return result;
+}
+
+/// global_transfer's oracle: a std::map BFS over system_states, stepping
+/// the reference simulator.
+inline std::optional<std::vector<global_input>> reference_transfer(
+    const system& spec, const system_state& start,
+    const std::function<bool(const system_state&)>& goal,
+    const global_search_options& options = {}) {
+    if (goal(start)) return std::vector<global_input>{};
+
+    std::set<global_transition_id> banned(options.avoid.begin(),
+                                          options.avoid.end());
+    const auto inputs = port_inputs(spec);
+
+    struct node {
+        system_state state;
+        std::uint32_t parent;
+        global_input via;
+    };
+    std::vector<node> nodes{{start, invalid_index, global_input::reset()}};
+    std::map<system_state, bool> visited{{start, true}};
+    std::deque<std::uint32_t> frontier{0};
+    simulator sim(spec);
+
+    while (!frontier.empty()) {
+        const std::uint32_t idx = frontier.front();
+        frontier.pop_front();
+        for (const auto& in : inputs) {
+            sim.set_state(nodes[idx].state);
+            std::vector<global_transition_id> fired;
+            (void)sim.apply(in, &fired);
+            if (options.skip_null_steps && fired.empty()) continue;
+            const bool uses_banned = std::any_of(
+                fired.begin(), fired.end(),
+                [&](global_transition_id g) { return banned.count(g) != 0; });
+            if (uses_banned) continue;
+            if (!visited.emplace(sim.state(), true).second) continue;
+            nodes.push_back({sim.state(), idx, in});
+            const std::uint32_t fresh =
+                static_cast<std::uint32_t>(nodes.size() - 1);
+            if (goal(sim.state())) {
+                std::vector<global_input> seq;
+                std::uint32_t cur = fresh;
+                while (nodes[cur].parent != invalid_index) {
+                    seq.push_back(nodes[cur].via);
+                    cur = nodes[cur].parent;
+                }
+                std::reverse(seq.begin(), seq.end());
+                return seq;
+            }
+            if (visited.size() >= options.max_states) return std::nullopt;
+            frontier.push_back(fresh);
+        }
+    }
+    return std::nullopt;
+}
+
+/// reference_transfer from reset to machine `m` in state `s`: the transfer
+/// search the oracle's Step 6 hands propose_structured_tests.
+inline std::optional<std::vector<global_input>>
+reference_transfer_to_machine_state(const system& spec, machine_id m,
+                                    state_id s,
+                                    const global_search_options& options = {}) {
+    return reference_transfer(
+        spec, initial_global_state(spec),
+        [m, s](const system_state& st) { return st.states[m.value] == s; },
+        options);
+}
 
 /// Field-wise equality of two Step 5B/5C results.
 inline void expect_same_evaluation(const diagnostic_candidates& got,
@@ -166,7 +335,12 @@ inline void expect_diagnosis_matches(
         std::vector<proposed_test> proposals;
         if (o.structured_step6) {
             proposals = propose_structured_tests(
-                spec, hypothesis_tracker(spec, alive), o.step6);
+                spec, hypothesis_tracker(spec, alive), o.step6,
+                [&spec](machine_id m, state_id s,
+                        const global_search_options& search) {
+                    return reference_transfer_to_machine_state(spec, m, s,
+                                                               search);
+                });
             for (const proposed_test& p : proposals) {
                 if (splits(spec, alive, p.tc.inputs)) {
                     pick = &p;

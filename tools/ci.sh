@@ -111,7 +111,8 @@ cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [asan+ubsan] build resilience tests ==="
 cmake --build "${asan_dir}" -j "${JOBS}" \
       --target resilience_test checkpoint_test bitset_test property_test \
-      discrim_engine_test budget_test replay_cache_test cfsmdiag_cli fuzz_io
+      discrim_engine_test budget_test replay_cache_test packed_bfs_test \
+      cfsmdiag_cli fuzz_io
 echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/resilience_test"
 # The checkpoint layer's POSIX fd handling (spill truncate/append/fsync),
@@ -140,6 +141,14 @@ echo "=== [asan+ubsan] run ==="
 # two-word token_ring(65), whose diagnoses the wide-system test also holds
 # to the oracle.
 "${asan_dir}/tests/replay_cache_test"
+# The tour and the transfer searches run on packed_bfs: its open-addressing
+# visited set probes and rehashes by index arithmetic, and its nodes copy
+# W-word states; the differential tests hold it to the std::map searches
+# on one- and two-word systems, and the token_ring(65) tour is the CLI's
+# two-word run.
+"${asan_dir}/tests/packed_bfs_test"
+"${asan_dir}/tools/cfsmdiag" gen examples/data/token_ring65.cfsm tour \
+      >/dev/null
 "${asan_dir}/tools/cfsmdiag" campaign examples/data/figure1.cfsm \
       --max-faults 20 --jobs 2 --seed 7 \
       --flaky 0.05 --retries 3 >/dev/null
