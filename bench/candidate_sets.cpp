@@ -56,13 +56,17 @@ int main() {
         campaign_options opts;
         const auto stats = run_campaign(spec, v.suite, faults, opts);
         // Re-derive ITC sizes (cheap: re-run symptoms per detected fault).
+        const spec_context ctx(spec, v.suite);
         for (const auto& e : stats.entries) {
             if (!e.detected) continue;
             ++detected;
             simulated_iut iut(spec, e.fault);
-            const auto report = collect_symptoms(spec, v.suite, iut);
-            const auto confl = generate_conflict_sets(spec, report);
-            const auto cands = generate_candidates(spec, report, confl);
+            const auto report =
+                collect_symptoms(spec, v.suite, iut, ctx.traces());
+            bit_arena arena;
+            const auto cands = materialize_candidate_sets(
+                ctx.compiled(), report,
+                compile_conflicts(ctx.compiled(), report, arena));
             std::size_t itc_total = 0;
             for (const auto& per : cands.itc) itc_total += per.size();
             itc_sum += static_cast<double>(itc_total);

@@ -17,6 +17,8 @@ using namespace cfsmdiag;
 void sweep(const std::string& name, const cfsmdiag::system& spec,
            const test_suite& suite, std::size_t max_pairs) {
     const auto singles = enumerate_all_faults(spec);
+    // Soundness asks the joint search only, so the context needs no suite.
+    const spec_context ctx(spec, {});
 
     std::size_t injected = 0, detected = 0, localized = 0, equiv = 0,
                 sound = 0;
@@ -49,9 +51,10 @@ void sweep(const std::string& name, const cfsmdiag::system& spec,
                 diagnosis_outcome::localized_up_to_equivalence)
                 ++equiv;
             for (const auto& fs : result.final_hypotheses) {
-                if (!splitting_sequence(spec, {truth.to_overrides(),
-                                               fs.to_overrides()},
-                                        20'000)
+                if (!ctx.discrim()
+                         .splitting_sequence(
+                             {truth.to_overrides(), fs.to_overrides()},
+                             20'000)
                          .has_value()) {
                     ++sound;
                     break;

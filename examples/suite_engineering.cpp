@@ -17,6 +17,8 @@ int main() {
     const cfsmdiag::system spec = models::connection_management();
     std::cout << "system: " << spec.name() << ", "
               << spec.total_transitions() << " transitions\n\n";
+    // The joint-state search below runs on the spec's lowering.
+    const spec_context ctx(spec, {});
 
     auto show = [&](const std::string& label, const test_suite& suite) {
         const auto report = mutation_score(spec, suite);
@@ -36,7 +38,8 @@ int main() {
     // by the joint-state splitting search (spec vs mutant).
     std::size_t added = 0;
     for (const auto& f : report.survivors) {
-        const auto seq = splitting_sequence(spec, {{}, {f.to_override()}});
+        const auto seq = ctx.discrim().splitting_sequence(
+            {{}, {f.to_override()}}, 100'000);
         if (!seq) continue;
         suite.add(test_case::from_inputs(
             "kill" + std::to_string(++added), *seq));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "diag/compiled.hpp"
-#include "util/error.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -63,41 +62,6 @@ std::optional<std::vector<global_input>> search(
 }
 
 }  // namespace
-
-std::optional<std::vector<global_input>> global_transfer(
-    const system& spec, const system_state& start,
-    const std::function<bool(const system_state&)>& goal,
-    const global_search_options& options) {
-    if (goal(start)) return std::vector<global_input>{};
-    if (spec.total_transitions() == 0) return std::nullopt;  // no input
-    // A caller's start is checked as simulator::set_state checks it before
-    // a first step, then packed.
-    detail::require(start.states.size() == spec.machine_count(),
-                    "simulator::set_state: wrong machine count");
-    for (std::size_t i = 0; i < start.states.size(); ++i) {
-        detail::require(
-            start.states[i].value <
-                spec.machine(machine_id{static_cast<std::uint32_t>(i)})
-                    .state_count(),
-            "simulator::set_state: state out of range");
-    }
-    const compiled_spec cs = compile_spec(spec, {}, {});
-    std::vector<std::uint64_t> packed(cs.words);
-    cs.pack(start, packed.data());
-    return search(
-        cs, spec, packed.data(),
-        [&](const std::uint64_t* st) { return goal(cs.unpack(st)); },
-        options);
-}
-
-std::optional<std::vector<global_input>> global_transfer_to_machine_state(
-    const system& spec, const system_state& start, machine_id m, state_id s,
-    const global_search_options& options) {
-    return global_transfer(
-        spec, start,
-        [m, s](const system_state& st) { return st.states[m.value] == s; },
-        options);
-}
 
 std::optional<std::vector<global_input>> global_transfer_to_machine_state(
     const compiled_spec& cs, const system& spec, machine_id m, state_id s,

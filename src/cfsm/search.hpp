@@ -2,15 +2,14 @@
 //
 // Shared search engine behind test generation and the diagnoser's
 // additional-test construction (Step 6): find a shortest global input
-// sequence from a given global state to one satisfying a goal, optionally
-// *avoiding* a set of transitions — the paper requires additional diagnostic
-// tests to "not involve any candidate transition in any of the DCtr or DCco
-// sets".  The search runs on packed_bfs (diag/compiled.hpp), the kernel it
+// sequence from reset to a state where one machine is in a given state,
+// optionally *avoiding* a set of transitions — the paper requires
+// additional diagnostic tests to "not involve any candidate transition in
+// any of the DCtr or DCco sets".  The search runs on packed_bfs (diag/compiled.hpp), the kernel it
 // shares with the transition tour: inputs in all_port_inputs order, FIFO
 // frontier, the goal tested on each newly visited state.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -31,26 +30,12 @@ struct global_search_options {
     bool skip_null_steps = true;
 };
 
-/// Shortest input sequence from `start` to a state satisfying `goal`
-/// without firing avoided transitions.  Returns nullopt if no such
-/// sequence exists within the bound.  The empty sequence is returned if
-/// `start` already satisfies `goal`.  Lowers `spec` for this one search.
-[[nodiscard]] std::optional<std::vector<global_input>> global_transfer(
-    const system& spec, const system_state& start,
-    const std::function<bool(const system_state&)>& goal,
-    const global_search_options& options = {});
-
-/// Convenience goal: machine `m` is in state `s`.  Lowers `spec` for this
-/// one search.
-[[nodiscard]] std::optional<std::vector<global_input>>
-global_transfer_to_machine_state(const system& spec,
-                                 const system_state& start, machine_id m,
-                                 state_id s,
-                                 const global_search_options& options = {});
-
-/// The same search from the initial global state, on `cs`, a lowering of
-/// `spec` (compile_spec(spec, {}, {}) will do), so that a caller with many
-/// transfers to find lowers the spec once.
+/// Shortest input sequence from the initial global state that brings
+/// machine `m` to state `s` without firing avoided transitions, on `cs`, a
+/// lowering of `spec` (compile_spec(spec, {}, {}) will do), so that a
+/// caller with many transfers to find lowers the spec once.  Returns
+/// nullopt if no such sequence exists within the bound, and the empty
+/// sequence if the initial state already satisfies the goal.
 [[nodiscard]] std::optional<std::vector<global_input>>
 global_transfer_to_machine_state(const compiled_spec& cs, const system& spec,
                                  machine_id m, state_id s,

@@ -37,7 +37,6 @@
 #include "diag/discriminate.hpp"
 #include "diag/hypotheses.hpp"
 #include "diag/multi_fault.hpp"
-#include "diag/replay_cache.hpp"
 #include "diag/report.hpp"
 #include "diag/single_fsm.hpp"
 #include "diag/spec_context.hpp"

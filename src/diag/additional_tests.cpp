@@ -78,12 +78,12 @@ std::vector<suspect_group> group_hypotheses(const system& spec,
 }  // namespace
 
 std::vector<proposed_test> propose_structured_tests(
-    const system& spec, const hypothesis_tracker& tracker,
+    const system& spec, const std::vector<diagnosis>& alive,
     const step6_options& options, const transfer_search& find_transfer) {
     std::vector<proposed_test> proposals;
-    if (tracker.count() < 2) return proposals;
+    if (alive.size() < 2) return proposals;
 
-    const auto groups = group_hypotheses(spec, tracker.alive());
+    const auto groups = group_hypotheses(spec, alive);
 
     // The ambiguity rule: transfer sequences must not fire any transition
     // still under suspicion.
@@ -91,7 +91,7 @@ std::vector<proposed_test> propose_structured_tests(
     {
         std::set<global_transition_id> avoid(search.avoid.begin(),
                                              search.avoid.end());
-        for (const diagnosis& d : tracker.alive()) avoid.insert(d.target);
+        for (const diagnosis& d : alive) avoid.insert(d.target);
         search.avoid.assign(avoid.begin(), avoid.end());
     }
 

@@ -23,6 +23,8 @@
 // test suite" in spirit).
 #pragma once
 
+#include <functional>
+
 #include "cfsm/search.hpp"
 #include "diag/discriminate.hpp"
 
@@ -50,12 +52,13 @@ struct step6_options {
 using transfer_search = std::function<std::optional<std::vector<global_input>>(
     machine_id m, state_id s, const global_search_options& search)>;
 
-/// Ordered proposals for the current live hypothesis set.  Candidates whose
+/// Ordered proposals for the live hypothesis set `alive` (sorted and
+/// deduplicated, as hypothesis_tracker::alive holds it).  Candidates whose
 /// source state cannot be reached while avoiding live candidates yield no
 /// structured proposal (the caller falls back to joint-state search).
 /// An empty `find_transfer` searches afresh for every transfer.
 [[nodiscard]] std::vector<proposed_test> propose_structured_tests(
-    const system& spec, const hypothesis_tracker& tracker,
+    const system& spec, const std::vector<diagnosis>& alive,
     const step6_options& options = {},
     const transfer_search& find_transfer = {});
 

@@ -12,53 +12,4 @@ std::vector<global_transition_id> candidate_sets::all() const {
     return out;
 }
 
-candidate_sets generate_candidates(const system& spec,
-                                   const symptom_report& report,
-                                   const conflict_sets& confl) {
-    candidate_sets out;
-    const std::size_t n = spec.machine_count();
-    out.itc.resize(n);
-    out.ftc_tr.resize(n);
-    out.ftc_co.resize(n);
-
-    for (std::uint32_t m = 0; m < n; ++m) {
-        const auto& sets = confl.per_machine[m];
-        if (sets.empty()) continue;
-        // Intersection of all conflict sets of this machine.
-        std::set<transition_id> acc = sets.front();
-        for (std::size_t k = 1; k < sets.size(); ++k) {
-            std::set<transition_id> next;
-            std::set_intersection(acc.begin(), acc.end(), sets[k].begin(),
-                                  sets[k].end(),
-                                  std::inserter(next, next.begin()));
-            acc = std::move(next);
-        }
-        out.itc[m].assign(acc.begin(), acc.end());
-    }
-
-    // The ust belongs to the candidate split only if it survived the
-    // intersection (it always does when it exists: it is in every
-    // symptomatic conflict set of its machine by Definition 4).
-    if (report.ust) {
-        const auto m = report.ust->machine.value;
-        if (std::binary_search(out.itc[m].begin(), out.itc[m].end(),
-                               report.ust->transition)) {
-            out.ust = report.ust;
-        }
-    }
-
-    for (std::uint32_t m = 0; m < n; ++m) {
-        const fsm& machine = spec.machine(machine_id{m});
-        for (transition_id t : out.itc[m]) {
-            const bool is_ust = out.ust &&
-                                out.ust->machine.value == m &&
-                                out.ust->transition == t;
-            if (!is_ust) out.ftc_tr[m].push_back(t);
-            if (machine.at(t).kind == output_kind::internal)
-                out.ftc_co[m].push_back(t);
-        }
-    }
-    return out;
-}
-
 }  // namespace cfsmdiag

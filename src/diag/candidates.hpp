@@ -29,8 +29,4 @@ struct candidate_sets {
     [[nodiscard]] std::vector<global_transition_id> all() const;
 };
 
-[[nodiscard]] candidate_sets generate_candidates(const system& spec,
-                                                 const symptom_report& report,
-                                                 const conflict_sets& confl);
-
 }  // namespace cfsmdiag

@@ -8,7 +8,6 @@
 
 #include "cfsm/alphabet.hpp"
 #include "diag/hypotheses.hpp"
-#include "diag/replay_cache.hpp"
 #include "fault/enumerate.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
@@ -63,37 +62,90 @@ std::uint64_t signature_term(std::size_t ci, std::size_t k,
     return mix64(pos + obs) - mix64(pos + expected);
 }
 
-/// The whole-suite signature of spec ⊕ `ov`.  Before the target's first
-/// firing in a case, and after each re-synchronization until its next
-/// one, the mutated run equals the spec run (the prefix and
+/// Steps spec ⊕ `ov` through the run `ct` where it can differ from the
+/// spec's, calling on_step(k, observation) at each stepped step k.  Before
+/// the target's first firing, and after each re-synchronization until its
+/// next one, the mutated run equals the spec run (the prefix and
 /// re-synchronization lemmas), so only the stretches in between are
-/// stepped.  Throws what flat_step throws.
+/// stepped.  `state` holds W words of scratch.  Throws what flat_step
+/// throws.
+template <std::size_t W, typename OnStep>
+void walk_divergence(const compiled_spec& cs, const system& spec,
+                     const compiled_spec::case_tables& ct,
+                     const flat_override& ov, std::uint64_t* state,
+                     OnStep on_step) {
+    const std::size_t w = cs.words_in<W>();
+    const std::uint64_t* const before = ct.state_before.data();
+    const std::size_t n = ct.in_port.size();
+    std::uint32_t k = ct.first_fire[ov.target];
+    while (k != invalid_index) {
+        std::copy_n(before + k * w, w, state);
+        do {
+            on_step(k, flat_step<W>(cs, spec, state, ct.in_port[k],
+                                    ct.in_sym[k], &ov, 1));
+            ++k;
+        } while (k < n && !same_state(state, before + k * w, w));
+        k = k < n ? next_fire(ct, ov.target, k) : invalid_index;
+    }
+}
+
+/// The whole-suite signature of spec ⊕ `ov`.
 template <std::size_t W>
 std::uint64_t suite_signature(const compiled_spec& cs, const system& spec,
                               const flat_override& ov) {
-    const std::size_t w = cs.words_in<W>();
     std::uint64_t one_word[1];
-    std::vector<std::uint64_t> wide(W == 1 ? 0 : w);
+    std::vector<std::uint64_t> wide(W == 1 ? 0 : cs.words_in<W>());
     std::uint64_t* const state = W == 1 ? one_word : wide.data();
     std::uint64_t sig = 0;
     for (std::size_t ci = 0; ci < cs.cases.size(); ++ci) {
         const compiled_spec::case_tables& ct = cs.cases[ci];
-        const std::uint64_t* const before = ct.state_before.data();
-        const std::size_t n = ct.in_port.size();
-        std::uint32_t k = ct.first_fire[ov.target];
-        while (k != invalid_index) {
-            std::copy_n(before + k * w, w, state);
-            do {
-                const std::uint64_t obs = flat_step<W>(
-                    cs, spec, state, ct.in_port[k], ct.in_sym[k], &ov, 1);
-                if (obs != ct.expected[k])
-                    sig += signature_term(ci, k, obs, ct.expected[k]);
-                ++k;
-            } while (k < n && !same_state(state, before + k * w, w));
-            k = k < n ? next_fire(ct, ov.target, k) : invalid_index;
-        }
+        walk_divergence<W>(cs, spec, ct, ov, state,
+                           [&](std::uint32_t k, std::uint64_t obs) {
+                               if (obs != ct.expected[k])
+                                   sig += signature_term(ci, k, obs,
+                                                         ct.expected[k]);
+                           });
     }
     return sig;
+}
+
+/// Fills the class representatives and the firing index of `ct` from its
+/// inputs, packed before-states and per-step fired lists.
+void index_case(compiled_spec::case_tables& ct, std::uint32_t total,
+                std::size_t w) {
+    const std::size_t n = ct.in_port.size();
+    ct.rep.reserve(n);
+    ct.first_fire.assign(total, invalid_index);
+    std::vector<std::vector<std::uint32_t>> fires(total);
+    // Steps ordered by (input, packed before-state); a class's
+    // representative is the first step inserted.
+    const auto step_less = [&ct, w](std::uint32_t a, std::uint32_t b) {
+        if (ct.in_port[a] != ct.in_port[b]) return ct.in_port[a] < ct.in_port[b];
+        if (ct.in_sym[a] != ct.in_sym[b]) return ct.in_sym[a] < ct.in_sym[b];
+        const std::uint64_t* sa = ct.state_before.data() + a * w;
+        const std::uint64_t* sb = ct.state_before.data() + b * w;
+        return std::lexicographical_compare(sa, sa + w, sb, sb + w);
+    };
+    std::set<std::uint32_t, decltype(step_less)> classes(step_less);
+    for (std::uint32_t k = 0; k < n; ++k) {
+        ct.rep.push_back(*classes.insert(k).first);
+        for (std::uint32_t i = ct.step_off[k]; i < ct.step_off[k + 1]; ++i) {
+            const std::uint32_t d = ct.step_fired[i];
+            auto& steps = fires[d];
+            // A chain step may fire the same transition more than once;
+            // record the step once.
+            if (!steps.empty() && steps.back() == k) continue;
+            steps.push_back(k);
+            if (ct.first_fire[d] == invalid_index) ct.first_fire[d] = k;
+        }
+    }
+    ct.fire_off.reserve(total + 1);
+    for (std::uint32_t d = 0; d < total; ++d) {
+        ct.fire_off.push_back(static_cast<std::uint32_t>(ct.fire_steps.size()));
+        ct.fire_steps.insert(ct.fire_steps.end(), fires[d].begin(),
+                             fires[d].end());
+    }
+    ct.fire_off.push_back(static_cast<std::uint32_t>(ct.fire_steps.size()));
 }
 
 template <std::size_t W>
@@ -351,22 +403,7 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
         ct.in_sym.reserve(n);
         ct.state_before.resize(n * w);
         ct.expected.reserve(n);
-        ct.rep.reserve(n);
-        ct.first_fire.assign(cs.total, invalid_index);
         ct.step_off.reserve(n + 1);
-        std::vector<std::vector<std::uint32_t>> fires(cs.total);
-        // Steps ordered by (input, packed before-state); a class's
-        // representative is the first step inserted.
-        const auto step_less = [&ct, w](std::uint32_t a, std::uint32_t b) {
-            if (ct.in_port[a] != ct.in_port[b])
-                return ct.in_port[a] < ct.in_port[b];
-            if (ct.in_sym[a] != ct.in_sym[b])
-                return ct.in_sym[a] < ct.in_sym[b];
-            const std::uint64_t* sa = ct.state_before.data() + a * w;
-            const std::uint64_t* sb = ct.state_before.data() + b * w;
-            return std::lexicographical_compare(sa, sa + w, sb, sb + w);
-        };
-        std::set<std::uint32_t, decltype(step_less)> classes(step_less);
         for (std::size_t k = 0; k < n; ++k) {
             const global_input& in = inputs[k];
             const bool reset = in.action == global_input::kind::reset;
@@ -374,35 +411,14 @@ compiled_spec compile_spec(const system& spec, const test_suite& suite,
             ct.in_sym.push_back(reset ? 0 : in.input.id);
             cs.pack(trace[k].before, ct.state_before.data() + k * w);
             ct.expected.push_back(pack_observation(trace[k].expected));
-            ct.rep.push_back(
-                *classes.insert(static_cast<std::uint32_t>(k)).first);
             ct.step_off.push_back(
                 static_cast<std::uint32_t>(ct.step_fired.size()));
-            for (global_transition_id gid : trace[k].fired) {
-                const std::uint32_t d = cs.dense_id(gid);
-                ct.step_fired.push_back(d);
-                auto& steps = fires[d];
-                // A chain step may fire the same transition more than
-                // once; record the step once.
-                if (!steps.empty() &&
-                    steps.back() == static_cast<std::uint32_t>(k))
-                    continue;
-                steps.push_back(static_cast<std::uint32_t>(k));
-                if (ct.first_fire[d] == invalid_index)
-                    ct.first_fire[d] = static_cast<std::uint32_t>(k);
-            }
+            for (global_transition_id gid : trace[k].fired)
+                ct.step_fired.push_back(cs.dense_id(gid));
         }
         ct.step_off.push_back(
             static_cast<std::uint32_t>(ct.step_fired.size()));
-        ct.fire_off.reserve(cs.total + 1);
-        for (std::uint32_t d = 0; d < cs.total; ++d) {
-            ct.fire_off.push_back(
-                static_cast<std::uint32_t>(ct.fire_steps.size()));
-            ct.fire_steps.insert(ct.fire_steps.end(), fires[d].begin(),
-                                 fires[d].end());
-        }
-        ct.fire_off.push_back(
-            static_cast<std::uint32_t>(ct.fire_steps.size()));
+        index_case(ct, cs.total, w);
         cs.cases.push_back(std::move(ct));
     }
     return cs;
@@ -489,7 +505,7 @@ fault_dictionary build_fault_dictionary(const compiled_spec& cs,
 flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
                              const symptom_report& report,
                              const fault_dictionary* dictionary)
-    : cs_(&cs), spec_(&spec), state_(cs.words) {
+    : cs_(&cs), spec_(&spec), tables_(cs.cases.data()), state_(cs.words) {
     detail::require(report.runs.size() == cs.cases.size(),
                     "flat_replayer: report does not match compiled suite");
     cases_.reserve(report.runs.size());
@@ -507,9 +523,7 @@ flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
         max_len = std::max(max_len, run.observed.size());
         cases_.push_back(std::move(co));
     }
-    memo_epoch_.assign(max_len, 0);
-    memo_obs_.resize(max_len);
-    memo_after_.resize(max_len * cs.words);
+    size_scratch(max_len);
 
     // The fill covered every case, so a signature compares with the report
     // only when every case is trusted.  A consistent hypothesis predicts
@@ -530,13 +544,43 @@ flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
     }
 }
 
-template <std::size_t W>
+flat_replayer::flat_replayer(const flat_sequence& seq,
+                             std::vector<std::uint64_t> observed)
+    : cs_(seq.cs_),
+      spec_(seq.spec_),
+      tables_(&seq.tables_),
+      state_(seq.cs_->words) {
+    const std::vector<std::uint64_t>& expected = seq.tables_.expected;
+    detail::require(observed.size() == expected.size(),
+                    "flat_replayer: answer does not match the sequence");
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+        if (observed[k] != expected[k]) sequence_symptoms_.push_back(k);
+    }
+    case_obs co;
+    co.observed = std::move(observed);
+    co.symptom_steps = &sequence_symptoms_;
+    if (!sequence_symptoms_.empty())
+        co.first_symptom =
+            static_cast<std::uint32_t>(sequence_symptoms_.front());
+    cases_.push_back(std::move(co));
+    size_scratch(expected.size());
+}
+
+void flat_replayer::size_scratch(std::size_t max_len) {
+    memo_epoch_.assign(max_len, 0);
+    memo_obs_.resize(max_len);
+    memo_after_.resize(max_len * cs_->words);
+}
+
+template <std::size_t W, std::size_t N>
 bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
-                                      const flat_override& ov) {
-    const compiled_spec::case_tables& ct = cs_->cases[ci];
+                                      const flat_override* ovs,
+                                      std::size_t count) {
+    const compiled_spec::case_tables& ct = tables_[ci];
     const case_obs& co = cases_[ci];
     const std::size_t n = ct.in_port.size();
     const std::size_t w = cs_->words_in<W>();
+    const std::size_t k = N == 0 ? count : N;
     const std::uint64_t* const before = ct.state_before.data();
 
     detail::note_replay_suffix();
@@ -558,7 +602,7 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
                 std::copy_n(before + step_i * w, w, after);
                 memo_obs_[r] = flat_step<W>(*cs_, *spec_, after,
                                             ct.in_port[step_i],
-                                            ct.in_sym[step_i], &ov, 1);
+                                            ct.in_sym[step_i], ovs, k);
                 memo_epoch_[r] = epoch_;
             }
             if (memo_obs_[r] != co.observed[step_i]) return false;
@@ -571,7 +615,7 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
             }
         } else {
             if (flat_step<W>(*cs_, *spec_, state, ct.in_port[step_i],
-                             ct.in_sym[step_i], &ov, 1) !=
+                             ct.in_sym[step_i], ovs, k) !=
                 co.observed[step_i])
                 return false;
             ++step_i;
@@ -579,9 +623,11 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
             if (!same_state(state, before + step_i * w, w)) continue;
             synced = true;
         }
-        // Re-synchronized: mutated == spec until the target next fires, so
+        // Re-synchronized: mutated == spec until a target next fires, so
         // the segment is consistent iff it shows no symptom.
-        const std::uint32_t nf = next_fire(ct, ov.target, step_i);
+        std::uint32_t nf = next_fire(ct, ovs[0].target, step_i);
+        for (std::size_t j = 1; j < k; ++j)
+            nf = std::min(nf, next_fire(ct, ovs[j].target, step_i));
         if (nf == invalid_index)
             return !symptom_in(*co.symptom_steps, step_i, n);
         if (symptom_in(*co.symptom_steps, step_i, nf)) return false;
@@ -589,14 +635,18 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
     }
 }
 
-template <std::size_t W>
-bool flat_replayer::replay(const flat_override& f) {
+template <std::size_t W, std::size_t N>
+bool flat_replayer::replay(const flat_override* ovs, std::size_t count) {
+    const std::size_t k = N == 0 ? count : N;
     for (std::size_t ci = 0; ci < cases_.size(); ++ci) {
-        // Quarantined runs neither support nor refute (mirrors
-        // hypothesis_consistent's paths).
+        // Quarantined runs carry no trustworthy observations: they neither
+        // support nor refute.
         if (cases_[ci].quarantined) continue;
-        const compiled_spec::case_tables& ct = cs_->cases[ci];
-        const std::uint32_t ff = ct.first_fire[f.target];
+        const compiled_spec::case_tables& ct = tables_[ci];
+        // The prefix lemma holds until the earliest target fires.
+        std::uint32_t ff = ct.first_fire[ovs[0].target];
+        for (std::size_t j = 1; j < k; ++j)
+            ff = std::min(ff, ct.first_fire[ovs[j].target]);
         if (ff == invalid_index) {
             // Mutated == spec on all of this case.
             if (cases_[ci].first_symptom != invalid_index) return false;
@@ -604,14 +654,97 @@ bool flat_replayer::replay(const flat_override& f) {
             continue;
         }
         if (cases_[ci].first_symptom < ff) return false;
-        if (!suffix_consistent<W>(ci, ff, f)) return false;
+        if (!suffix_consistent<W, N>(ci, ff, ovs, count)) return false;
     }
     return true;
 }
 
 bool flat_replayer::replay(const transition_override& ov) {
     const flat_override f = lower_override(*cs_, ov);
-    return cs_->words == 1 ? replay<1>(f) : replay<runtime_words>(f);
+    return cs_->words == 1 ? replay<1, 1>(&f, 1)
+                           : replay<runtime_words, 1>(&f, 1);
+}
+
+bool flat_replayer::consistent(const std::vector<transition_override>& ovs) {
+    detail::require(!ovs.empty(),
+                    "flat_replayer::consistent: empty override set");
+    std::vector<flat_override> flat;
+    flat.reserve(ovs.size());
+    for (const transition_override& ov : ovs) {
+        flat.push_back(lower_override(*cs_, ov));
+        for (std::size_t j = 0; j + 1 < flat.size(); ++j)
+            detail::require(flat[j].target != flat.back().target,
+                            "flat_replayer: overrides must target distinct "
+                            "transitions");
+    }
+    return cs_->words == 1
+               ? replay<1, 0>(flat.data(), flat.size())
+               : replay<runtime_words, 0>(flat.data(), flat.size());
+}
+
+flat_sequence::flat_sequence(const compiled_spec& cs, const system& spec,
+                             const std::vector<global_input>& inputs)
+    : cs_(&cs), spec_(&spec) {
+    const std::size_t n = inputs.size();
+    const std::size_t w = cs.words;
+    compiled_spec::case_tables& ct = tables_;
+    ct.in_port.reserve(n);
+    ct.in_sym.reserve(n);
+    ct.state_before.resize(n * w);
+    ct.expected.reserve(n);
+    ct.step_off.reserve(n + 1);
+    std::vector<std::uint64_t> state = cs.initial_packed;
+    const fire_list hook{&cs, &spec, &ct.step_fired};
+    for (std::size_t k = 0; k < n; ++k) {
+        const global_input& in = inputs[k];
+        const bool reset = in.action == global_input::kind::reset;
+        if (!reset) {
+            // Checked as simulator::apply checks its input.
+            detail::require(in.port.value < spec.machine_count(),
+                            "simulator::apply: port out of range");
+            detail::require(!in.input.is_epsilon(),
+                            "simulator::apply: cannot apply ε as an input");
+        }
+        ct.in_port.push_back(reset ? invalid_index : in.port.value);
+        ct.in_sym.push_back(reset ? 0 : in.input.id);
+        std::copy_n(state.data(), w, ct.state_before.data() + k * w);
+        ct.step_off.push_back(static_cast<std::uint32_t>(ct.step_fired.size()));
+        ct.expected.push_back(
+            w == 1 ? flat_step<1>(cs, spec, state.data(), ct.in_port[k],
+                                  ct.in_sym[k], nullptr, 0, nullptr, nullptr,
+                                  hook)
+                   : flat_step<runtime_words>(cs, spec, state.data(),
+                                              ct.in_port[k], ct.in_sym[k],
+                                              nullptr, 0, nullptr, nullptr,
+                                              hook));
+    }
+    ct.step_off.push_back(static_cast<std::uint32_t>(ct.step_fired.size()));
+    index_case(ct, cs.total, w);
+}
+
+std::vector<observation> flat_sequence::expected() const {
+    std::vector<observation> out;
+    out.reserve(tables_.expected.size());
+    for (const std::uint64_t o : tables_.expected)
+        out.push_back(unpack_observation(o));
+    return out;
+}
+
+std::vector<std::uint64_t> flat_sequence::predict(
+    const transition_override& ov) const {
+    const flat_override f = lower_override(*cs_, ov);
+    std::vector<std::uint64_t> out = tables_.expected;
+    std::vector<std::uint64_t> state(cs_->words);
+    const auto put = [&out](std::uint32_t k, std::uint64_t obs) {
+        out[k] = obs;
+    };
+    if (cs_->words == 1) {
+        walk_divergence<1>(*cs_, *spec_, tables_, f, state.data(), put);
+    } else {
+        walk_divergence<runtime_words>(*cs_, *spec_, tables_, f,
+                                       state.data(), put);
+    }
+    return out;
 }
 
 // packed_bfs's stepper.  packed_bfs itself lives in a file of its own:

@@ -26,11 +26,16 @@
 // reporting boundary (ascending bit iteration == sorted std::set iteration,
 // so the rebuilt structs are byte-identical to the reference path's).
 //
-// `flat_replayer` is the compiled Step 5B/6 hot path: replay_cache's prefix
-// lemma + re-synchronization + class memoization, re-expressed over packed
-// states with epoch-tagged scratch (no per-call allocation) and an
-// inlined stepper (no simulator construction per hypothesis).  Verdicts are
-// exactly hypothesis_consistent()'s.
+// `flat_replayer` is the compiled Step 5B/6 hot path and the only
+// production form of the prefix lemma (DESIGN.md §5c): a hypothesis's run
+// equals the spec run until its target first fires, and again from every
+// re-synchronization until the next firing, so only the stretches in
+// between are stepped, with class memoization, epoch-tagged scratch (no
+// per-call allocation) and an inlined stepper (no simulator construction
+// per hypothesis).  Its verdicts are exactly the paper's full replay's.
+// It checks a symptom report's suite cases (Step 5B, one override or the
+// multi-fault extension's several) or one `flat_sequence` (Step 6's
+// additional tests).
 //
 // `fault_dictionary` tabulates, once per (spec, suite), a whole-suite
 // signature of every single-transition hypothesis's prediction; a
@@ -51,6 +56,7 @@
 #include "cfsm/trace.hpp"
 #include "diag/candidates.hpp"
 #include "diag/hypotheses.hpp"
+#include "diag/symptom.hpp"
 #include "util/bitset.hpp"
 #include "util/budget.hpp"
 
@@ -226,8 +232,19 @@ struct flat_override {
 
 /// Packed observation: 0 for ε, else ((port + 1) << 32) | symbol id.
 /// Injective on everything a simulator can return (ε observations always
-/// carry no port), so packed equality is observation equality.
+/// carry no port), so packed equality is observation equality.  Oracle
+/// answers are held to the same shape (check_answer) before they are
+/// packed.
 [[nodiscard]] std::uint64_t pack_observation(const observation& o) noexcept;
+
+/// The observation packed as `packed` (the inverse of pack_observation).
+[[nodiscard]] inline observation unpack_observation(
+    std::uint64_t packed) noexcept {
+    if (packed == 0) return observation::none();
+    return observation::at(
+        machine_id{static_cast<std::uint32_t>(packed >> 32) - 1},
+        symbol{static_cast<std::uint32_t>(packed)});
+}
 
 /// flat_step's default hook: fired transitions go unreported, and the
 /// stepper compiles as if it had no hook.
@@ -238,9 +255,10 @@ struct no_fire_hook {
 /// One global input applied to the packed state at `state` (W words, see
 /// compiled_spec::words_in) under `ov_count` overrides (distinct targets).
 /// Returns the packed observation; when `fired` is non-null it is set to
-/// whether the chain fired at least one transition (the reference search's
+/// whether the chain fired at least one transition (the joint search's
 /// `progressed` bit), and when `target_hit` is non-null, to whether any
-/// overridden target fired (the discrimination engine's liveness seed).
+/// overridden target fired — set as the target fires, so it holds when
+/// the chain throws later (the joint search's cue to step the spec too).
 /// `on_fire` is called with the dense id of every transition the chain
 /// fires, in firing order.  Mutates `state` in place.  Error behaviour —
 /// internal ε message, hop budget — matches simulator::apply exactly,
@@ -368,10 +386,46 @@ struct fault_dictionary {
 [[nodiscard]] fault_dictionary build_fault_dictionary(const compiled_spec& cs,
                                                       const system& spec);
 
-/// Compiled hypothesis replayer for one symptom report: same verdicts as
-/// the uncached hypothesis_consistent(spec, suite, report, ov), over packed
-/// states.  Each case is resolved by replay_cache's prefix lemma +
-/// re-synchronization (bumping its case-skip/suffix counters), never
+/// Step 6's replay of one input sequence from reset on the compiled
+/// tables: the spec run of `inputs` as one case's tables (packed state
+/// before each step, packed expected observation, firing index and
+/// (state, input) classes), built by one flat_step pass.  predict() and a
+/// flat_replayer over the sequence then step a hypothesis only from its
+/// target's first firing, jumping re-synchronized stretches to the next
+/// firing.  Immutable after construction, so one replay may be shared
+/// across threads (discrim_engine::replay_for).  `cs` and `spec` must
+/// outlive it.
+class flat_sequence {
+  public:
+    /// Throws what simulator::apply throws on the spec run of `inputs`.
+    flat_sequence(const compiled_spec& cs, const system& spec,
+                  const std::vector<global_input>& inputs);
+
+    [[nodiscard]] const compiled_spec::case_tables& tables() const noexcept {
+        return tables_;
+    }
+    [[nodiscard]] std::size_t size() const noexcept {
+        return tables_.in_port.size();
+    }
+    /// The spec's observations of the inputs (observe(spec, inputs)).
+    [[nodiscard]] std::vector<observation> expected() const;
+    /// The packed observations of spec ⊕ `ov` on the inputs; equals
+    /// observe(spec, inputs, ov), packed.
+    [[nodiscard]] std::vector<std::uint64_t> predict(
+        const transition_override& ov) const;
+
+  private:
+    friend class flat_replayer;
+    const compiled_spec* cs_;
+    const system* spec_;
+    compiled_spec::case_tables tables_;
+};
+
+/// Compiled hypothesis replayer: same verdicts as a full replay of spec ⊕
+/// the hypothesis from reset, over packed states.  Built for one symptom
+/// report (Step 5B's suite cases) or for one answer to a flat_sequence
+/// (Step 6).  Each case is resolved by the prefix lemma +
+/// re-synchronization (bumping the case-skip/suffix counters), never
 /// replayed from reset.  Given a fault dictionary and a report without
 /// quarantined cases, a hypothesis whose slot signature differs from the
 /// report's is refuted without a replay; every other one is replayed.
@@ -383,13 +437,18 @@ class flat_replayer {
                   const symptom_report& report,
                   const fault_dictionary* dictionary = nullptr);
 
+    /// Checks hypotheses against `observed`, the packed answer to `seq`'s
+    /// inputs (one observation per input).  `seq` must outlive the
+    /// replayer.
+    flat_replayer(const flat_sequence& seq,
+                  std::vector<std::uint64_t> observed);
+
     /// Whether spec ⊕ `ov` reproduces the report; `slot` is `ov`'s
     /// dictionary slot, or invalid_index when it has none.
     [[nodiscard]] bool consistent(const transition_override& ov,
                                   std::uint32_t slot = invalid_index) {
-        // Same counter as hypothesis_consistent(): campaign_entry::replays
-        // is part of the entry's identity, so every path counts each
-        // hypothesis it checks, refuted by signature or not.
+        // campaign_entry::replays is part of the entry's identity, so Step
+        // 5B counts each hypothesis it checks, refuted by signature or not.
         detail::note_hypothesis_replay();
         detail::budget_poll();
         if (signatures_ && slot != invalid_index) {
@@ -398,6 +457,19 @@ class flat_replayer {
                 sig != fault_dictionary::no_signature)
                 return false;
         }
+        return replay(ov);
+    }
+
+    /// Whether spec ⊕ all of `ovs` (distinct targets) reproduces the
+    /// observations: the multi-fault extension's check, where the prefix
+    /// lemma holds up to the earliest first firing of any target.  Uses no
+    /// dictionary, counts no hypothesis replay and polls no budget.
+    [[nodiscard]] bool consistent(
+        const std::vector<transition_override>& ovs);
+
+    /// Whether spec ⊕ `ov` reproduces the observations, without counting a
+    /// hypothesis replay or polling the budget: Step 6's filter.
+    [[nodiscard]] bool matches(const transition_override& ov) {
         return replay(ov);
     }
 
@@ -410,15 +482,23 @@ class flat_replayer {
     };
 
     [[nodiscard]] bool replay(const transition_override& ov);
-    template <std::size_t W>
-    [[nodiscard]] bool replay(const flat_override& ov);
-    template <std::size_t W>
+    /// N overrides at `ovs`; N = 0 reads the count from `count`.
+    template <std::size_t W, std::size_t N>
+    [[nodiscard]] bool replay(const flat_override* ovs, std::size_t count);
+    template <std::size_t W, std::size_t N>
     [[nodiscard]] bool suffix_consistent(std::size_t ci, std::uint32_t f,
-                                         const flat_override& ov);
+                                         const flat_override* ovs,
+                                         std::size_t count);
+    /// Sizes the suffix memo for cases of up to `max_len` steps.
+    void size_scratch(std::size_t max_len);
 
     const compiled_spec* cs_;
     const system* spec_;  ///< error labels only
+    /// The spec run of each case: cs_->cases, or the one sequence.
+    const compiled_spec::case_tables* tables_;
     std::vector<case_obs> cases_;
+    /// The sequence's symptom steps (the report holds Step 5B's).
+    std::vector<std::size_t> sequence_symptoms_;
     /// The dictionary's signatures, or nullptr when there is none or the
     /// report has a quarantined case (whose positions the fill covered).
     const std::uint64_t* signatures_ = nullptr;

@@ -24,7 +24,4 @@ struct conflict_sets {
     std::vector<std::vector<std::set<transition_id>>> per_machine;
 };
 
-[[nodiscard]] conflict_sets generate_conflict_sets(
-    const system& spec, const symptom_report& report);
-
 }  // namespace cfsmdiag

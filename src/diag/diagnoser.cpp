@@ -38,14 +38,14 @@ namespace {
 /// Returns false when the run came back untrusted (or never came back):
 /// the record is kept for the report but its observations are NOT applied
 /// to the tracker — quarantined evidence must not refute hypotheses.
-bool apply_test(const system& spec, oracle& iut, hypothesis_tracker& tracker,
-                diagnosis_result& result, test_case tc, std::string purpose,
-                bool from_fallback) {
+bool apply_test(const discrim_engine& engine, oracle& iut,
+                hypothesis_tracker& tracker, diagnosis_result& result,
+                test_case tc, std::string purpose, bool from_fallback) {
     additional_test_record rec;
     rec.tc = std::move(tc);
     rec.purpose = std::move(purpose);
     rec.from_fallback = from_fallback;
-    rec.expected = observe(spec, rec.tc.inputs);
+    rec.expected = engine.replay_for(rec.tc.inputs)->expected();
     try {
         rec.observed = iut.execute(rec.tc.inputs);
         if (const run_reliability* rel = iut.last_run_reliability();
@@ -58,6 +58,7 @@ bool apply_test(const system& spec, oracle& iut, hypothesis_tracker& tracker,
         rec.quarantine_reason = e.what();
         rec.observed.assign(rec.tc.inputs.size(), observation::none());
     }
+    check_answer(rec.tc.inputs, rec.observed, "diagnose");
     if (!rec.quarantined)
         rec.eliminated = tracker.apply_result(rec.tc.inputs, rec.observed);
     const bool trusted = !rec.quarantined;
@@ -219,12 +220,8 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     // exhaustion to rung 2 (skip discrimination entirely).  Hypotheses are
     // only ever *removed* by genuine refutation, so every rung's live set
     // still contains the truth — a stop widens the verdict, never flips it.
-    const auto make_tracker = [&](std::vector<diagnosis> live) {
-        hypothesis_tracker t(spec, std::move(live));
-        t.use_engine(&ctx.discrim());
-        return t;
-    };
-    hypothesis_tracker tracker = make_tracker(result.initial_diagnoses);
+    const discrim_engine& engine = ctx.discrim();
+    hypothesis_tracker tracker(engine, result.initial_diagnoses);
     std::size_t joint_cap = options.max_joint_states;
     bool unreliable_tests = false;
     bool resource_stopped = false;
@@ -241,7 +238,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
             // replay the evidence gathered so far.
             result.used_escalation = true;
             result.evaluated = evaluate_full();
-            tracker = make_tracker(result.evaluated.diagnoses());
+            tracker = hypothesis_tracker(engine, result.evaluated.diagnoses());
             for (const auto& rec : result.additional_tests) {
                 if (rec.quarantined) continue;
                 (void)tracker.apply_result(rec.tc.inputs, rec.observed);
@@ -253,11 +250,11 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
             // The derivation comes from the engine's campaign-wide cache
             // (identical proposals, computed once per distinct live set).
             const auto proposals =
-                ctx.discrim().structured_proposals(tracker, options.step6);
+                engine.structured_proposals(tracker.alive(), options.step6);
             for (const auto& p : *proposals) {
                 if (tracker.count() <= 1) break;
                 if (!tracker.splits(p.tc.inputs)) continue;
-                if (!apply_test(spec, iut, tracker, result, p.tc, p.purpose,
+                if (!apply_test(engine, iut, tracker, result, p.tc, p.purpose,
                                 /*from_fallback=*/false))
                     unreliable_tests = true;
                 progressed = true;
@@ -273,7 +270,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         const auto seq = tracker.find_splitting_sequence(joint_cap);
         if (!seq) break;  // remaining hypotheses are equivalent
         result.used_fallback_search = true;
-        if (!apply_test(spec, iut, tracker, result,
+        if (!apply_test(engine, iut, tracker, result,
                         test_case::from_inputs(
                             "fb" + std::to_string(
                                        result.additional_tests.size() + 1),

@@ -42,61 +42,6 @@ std::vector<diagnosis> diagnostic_candidates::diagnoses() const {
     return out;
 }
 
-diagnostic_candidates evaluate_candidates(const system& spec,
-                                          const test_suite& suite,
-                                          const symptom_report& report,
-                                          const candidate_sets& cands,
-                                          const replay_cache* cache) {
-    diagnostic_candidates dc;
-    const auto alphabets = compute_alphabets(spec);
-
-    for (std::uint32_t m = 0; m < spec.machine_count(); ++m) {
-        for (transition_id t : cands.itc[m]) {
-            const global_transition_id gid{machine_id{m}, t};
-            evaluated_candidate c;
-            c.id = gid;
-            c.is_ust = cands.ust && *cands.ust == gid;
-
-            if (c.is_ust) {
-                // ustprocessing: pool is the single observed uso.
-                const std::vector<symbol> pool{report.uso.output};
-                if (report.flag) {
-                    c.statout = consistent_statout(spec, suite, report, gid,
-                                                   pool, cache);
-                } else {
-                    c.outputs = consistent_outputs(spec, suite, report, gid,
-                                                   pool, cache);
-                }
-            } else {
-                const bool in_ftctr = std::binary_search(
-                    cands.ftc_tr[m].begin(), cands.ftc_tr[m].end(), t);
-                const bool in_ftcco = std::binary_search(
-                    cands.ftc_co[m].begin(), cands.ftc_co[m].end(), t);
-                if (in_ftctr) {
-                    c.end_states =
-                        end_states(spec, suite, report, gid, cache);
-                }
-                if (in_ftcco) {
-                    // inttransproc: pool = OIO_{i>j} minus the specified
-                    // output.
-                    const auto pool =
-                        admissible_faulty_outputs(spec, alphabets, gid);
-                    if (report.flag) {
-                        c.statout = consistent_statout(spec, suite, report,
-                                                       gid, pool, cache);
-                    } else {
-                        c.outputs = consistent_outputs(spec, suite, report,
-                                                       gid, pool, cache);
-                    }
-                }
-            }
-            dc.evaluated.push_back(std::move(c));
-        }
-    }
-    select_survivors(dc);
-    return dc;
-}
-
 std::string to_string(step6_case c) {
     switch (c) {
         case step6_case::none: return "none";
@@ -146,13 +91,12 @@ step6_case classify_step6(const diagnostic_candidates& dc) {
 
 namespace {
 
-// --- compiled-core hypothesis loops ------------------------------------
-// Mirrors of end_states / consistent_outputs / consistent_statout /
-// consistent_destinations with identical enumeration order (ascending
-// states, pool order, ascending machines); only the replay mechanism
-// differs, so the surviving hypothesis lists are byte-identical.  Each
-// check names its fault-dictionary slot; `j0` is the compiled-pool index
-// of `pool[0]` (an output past the compiled pool has no slot).
+// --- the hypothesis loops -----------------------------------------------
+// The paper's findendingstates, calouts, processtate&out and the
+// addressing extension's destinations, in the paper's enumeration order
+// (ascending states, pool order, ascending machines).  Each check names
+// its fault-dictionary slot; `j0` is the compiled-pool index of `pool[0]`
+// (an output past the compiled pool has no slot).
 
 std::vector<state_id> flat_end_states(const compiled_spec& cs,
                                       flat_replayer& rep,
@@ -311,47 +255,6 @@ diagnostic_candidates evaluate_candidates_escalated(
                                      pool.data() + pool.size(), 0);
             if (include_addressing) {
                 c.destinations = flat_destinations(cs, replayer, gid);
-            }
-            dc.evaluated.push_back(std::move(c));
-        }
-    }
-    select_survivors(dc);
-    return dc;
-}
-
-diagnostic_candidates evaluate_candidates_escalated(
-    const system& spec, const test_suite& suite, const symptom_report& report,
-    const candidate_sets& cands, bool include_addressing,
-    const replay_cache* cache) {
-    diagnostic_candidates dc;
-    const auto alphabets = compute_alphabets(spec);
-
-    for (std::uint32_t m = 0; m < spec.machine_count(); ++m) {
-        for (transition_id t : cands.itc[m]) {
-            const global_transition_id gid{machine_id{m}, t};
-            evaluated_candidate c;
-            c.id = gid;
-            c.is_ust = cands.ust && *cands.ust == gid;
-
-            auto pool = admissible_faulty_outputs(spec, alphabets, gid);
-            // For external-output transitions the observed uso is also a
-            // plausible faulty output even when outside OEO_i (the
-            // implementation may emit symbols the spec never does).
-            if (c.is_ust && !report.uso.output.is_epsilon() &&
-                std::find(pool.begin(), pool.end(), report.uso.output) ==
-                    pool.end() &&
-                report.uso.output != spec.transition_at(gid).output) {
-                pool.push_back(report.uso.output);
-            }
-
-            c.end_states = end_states(spec, suite, report, gid, cache);
-            c.outputs =
-                consistent_outputs(spec, suite, report, gid, pool, cache);
-            c.statout =
-                consistent_statout(spec, suite, report, gid, pool, cache);
-            if (include_addressing) {
-                c.destinations =
-                    consistent_destinations(spec, suite, report, gid, cache);
             }
             dc.evaluated.push_back(std::move(c));
         }

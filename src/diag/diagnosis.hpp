@@ -62,33 +62,18 @@ struct diagnostic_candidates {
     [[nodiscard]] std::vector<diagnosis> diagnoses() const;
 };
 
-/// Steps 5B + 5C with the paper's flag routing.  A non-null `cache` (built
-/// over the same spec/suite/report) routes every replay through the
-/// prefix-skipping fast path; results are identical with or without it.
+/// Steps 5B + 5C with the paper's flag routing, every hypothesis checked
+/// by `replayer` (built over the same report), with the admissible pools
+/// precomputed in `cs`.
 [[nodiscard]] diagnostic_candidates evaluate_candidates(
-    const system& spec, const test_suite& suite, const symptom_report& report,
-    const candidate_sets& cands, const replay_cache* cache = nullptr);
+    const compiled_spec& cs, flat_replayer& replayer,
+    const symptom_report& report, const candidate_sets& cands);
 
 /// Full-width pass: every ITC member gets EndStates, outputs (over its
 /// admissible pool) and statout — plus, when `include_addressing` is set,
 /// the wrong-destination hypotheses of the addressing extension.  Complete
 /// for the single-transition fault model: the true fault's hypothesis is
 /// always consistent, so it is found.
-[[nodiscard]] diagnostic_candidates evaluate_candidates_escalated(
-    const system& spec, const test_suite& suite, const symptom_report& report,
-    const candidate_sets& cands, bool include_addressing = false,
-    const replay_cache* cache = nullptr);
-
-/// Compiled-core variants: same routing, same candidate/hypothesis
-/// enumeration order, same verdicts — every replay goes through
-/// `replayer` (built over the same report) instead of a simulator.  The
-/// admissible pools come precomputed from `cs`, so the per-fault path does
-/// no alphabet computation at all.  Results are byte-identical to the
-/// reference overloads above.
-[[nodiscard]] diagnostic_candidates evaluate_candidates(
-    const compiled_spec& cs, flat_replayer& replayer,
-    const symptom_report& report, const candidate_sets& cands);
-
 [[nodiscard]] diagnostic_candidates evaluate_candidates_escalated(
     const compiled_spec& cs, flat_replayer& replayer,
     const symptom_report& report, const candidate_sets& cands,

@@ -4,7 +4,6 @@
 
 #include "diag/additional_tests.hpp"
 #include "diag/discriminate.hpp"
-#include "diag/replay_cache.hpp"
 #include "util/budget.hpp"
 #include "util/error.hpp"
 
@@ -13,76 +12,14 @@ namespace {
 
 thread_local discrim_counters g_counters;
 
-/// Must match simulator.cpp's default budget: the chain-safety analysis
-/// proves spec chains terminate within it.
-constexpr std::size_t hop_budget = 1024;
-
 /// Joint spaces up to this many states use the epoch-tagged dense visited
 /// array (16 MiB of u32 epochs at the cap, allocated once per thread and
 /// reused); larger spaces fall back to a hashed visited set.
 constexpr std::uint64_t dense_visited_cap = std::uint64_t{1} << 22;
 
-/// True when no specification chain can ever throw: every internal
-/// transition sends a real (non-ε) message, the internal successor graph
-/// (transition t can trigger transition t' in its destination machine) is
-/// acyclic, and the longest possible chain — bounded by the transition
-/// count in an acyclic graph — fits the simulator's hop budget.  The
-/// reference joint search computes a spec step for every explored
-/// (state, input), so a throwing spec chain is observable behaviour the
-/// flat path must not silently lose; this analysis is the conservative
-/// gate.
-bool spec_chains_safe(const compiled_spec& cs) {
-    if (cs.total > hop_budget) return false;
-    for (std::uint32_t t = 0; t < cs.total; ++t) {
-        if (cs.is_internal[t] && cs.out_sym[t] == 0) return false;
-    }
-    // Iterative three-color DFS over the transition successor graph.
-    std::vector<std::uint8_t> color(cs.total, 0);  // 0 new, 1 open, 2 done
-    std::vector<std::uint32_t> succ_scratch;
-    const auto successors = [&](std::uint32_t t) {
-        succ_scratch.clear();
-        if (!cs.is_internal[t]) return;
-        const std::uint32_t m = cs.dest[t];
-        const std::uint32_t msg = cs.out_sym[t];
-        if (msg >= cs.disp_stride[m]) return;
-        for (std::uint32_t s = 0; s < cs.state_count[m]; ++s) {
-            const std::uint32_t d =
-                cs.dispatch[cs.disp_offset[m] + s * cs.disp_stride[m] + msg];
-            if (d != invalid_index) succ_scratch.push_back(d);
-        }
-    };
-    std::vector<std::pair<std::uint32_t, std::size_t>> stack;
-    std::vector<std::vector<std::uint32_t>> succ(cs.total);
-    for (std::uint32_t t = 0; t < cs.total; ++t) {
-        successors(t);
-        succ[t] = succ_scratch;
-    }
-    for (std::uint32_t root = 0; root < cs.total; ++root) {
-        if (color[root] != 0) continue;
-        stack.emplace_back(root, 0);
-        color[root] = 1;
-        while (!stack.empty()) {
-            auto& [t, next] = stack.back();
-            if (next < succ[t].size()) {
-                const std::uint32_t s = succ[t][next++];
-                if (color[s] == 1) return false;  // back edge: cycle
-                if (color[s] == 0) {
-                    color[s] = 1;
-                    stack.emplace_back(s, 0);
-                }
-            } else {
-                color[t] = 2;
-                stack.pop_back();
-            }
-        }
-    }
-    return true;
-}
-
-/// The reference search constructs one simulator per hypothesis, which
-/// validates its overrides; replicating those checks (same order, same
-/// messages) keeps the engine's behaviour on malformed hypotheses
-/// byte-identical to the reference path.
+/// The checks a simulator makes of its overrides, in the same order and
+/// with the same messages, so a malformed hypothesis is refused as the
+/// reference simulator refuses it.
 void validate_overrides(const system& sys,
                         const std::vector<transition_override>& overrides) {
     for (std::size_t i = 0; i < overrides.size(); ++i) {
@@ -115,8 +52,6 @@ void validate_overrides(const system& sys,
 /// Canonical encoding of one hypothesis (a set of overrides) over compiled
 /// ids: per override [dense target, output id | ~0, next state | ~0,
 /// destination | ~0], overrides sorted, prefixed by the override count.
-/// Needs only the dense universe (never the packing), so keys exist even
-/// when the flat search does not.
 std::vector<std::uint32_t> encode_hypothesis(
     const compiled_spec& cs, const std::vector<transition_override>& ovs) {
     std::vector<std::array<std::uint32_t, 4>> blocks;
@@ -162,7 +97,6 @@ discrim_engine::discrim_engine(const compiled_spec& cs, const system& spec)
         in_port_.push_back(in.port.value);
         in_sym_.push_back(in.input.id);
     }
-    flat_ok_ = spec_chains_safe(cs);
     std::uint64_t size = 1;
     stride_.reserve(cs.state_count.size());
     for (const std::uint32_t count : cs.state_count) {
@@ -237,6 +171,16 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
 
     std::vector<std::uint64_t> cur(kw);
     std::vector<std::uint64_t> next(kw);
+    std::vector<std::uint64_t> spec_state(w);
+    // A search that stepped the spec before each hypothesis would throw the
+    // spec's error first.  Where a hypothesis fires none of its targets its
+    // step is the spec's own, error included; where it fires one, the spec
+    // is stepped from the same state, so its error still comes first.
+    const auto check_spec = [&](const std::uint64_t* from, std::size_t in) {
+        std::copy_n(from, w, spec_state.data());
+        (void)flat_step<W>(*cs_, *spec_, spec_state.data(), in_port_[in],
+                           in_sym_[in], nullptr, 0);
+    };
     for (std::size_t head = 0; head < parent.size(); ++head) {
         // One governed unit per expansion; the BFS frontier is the search's
         // dominant allocation, so it is what the memory quota sees.  Its
@@ -253,10 +197,18 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
             for (std::size_t i = 0; i < k; ++i) {
                 std::copy_n(cur.data() + i * w, w, next.data() + i * w);
                 bool fired = false;
-                const std::uint64_t obs = flat_step<W>(
-                    *cs_, *spec_, next.data() + i * w, in_port_[in],
-                    in_sym_[in], hyps[i].ovs.data(), hyps[i].ovs.size(),
-                    &fired);
+                bool hit = false;
+                std::uint64_t obs = 0;
+                try {
+                    obs = flat_step<W>(*cs_, *spec_, next.data() + i * w,
+                                       in_port_[in], in_sym_[in],
+                                       hyps[i].ovs.data(), hyps[i].ovs.size(),
+                                       &fired, &hit);
+                } catch (const error&) {
+                    if (hit) check_spec(cur.data() + i * w, in);
+                    throw;
+                }
+                if (hit) check_spec(cur.data() + i * w, in);
                 progressed = progressed || fired;
                 if (i == 0) {
                     first_obs = obs;
@@ -310,35 +262,35 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     std::size_t max_joint_states) const {
     if (hypotheses.size() < 2) return std::nullopt;
 
-    // Canonicalize: lowered overrides + sorted hypothesis order.  The
-    // joint search's result is invariant under hypothesis permutation
-    // (DESIGN.md §5f), so sorting is safe and makes the memo key
-    // independent of caller order.
+    // Lower the hypotheses in the caller's order, which the search steps
+    // them in, so that its first error is the one a search stepping them
+    // in that order throws.  The memo key lists them sorted: the result
+    // does not depend on their order (DESIGN.md §5f), and a search that
+    // throws stores nothing.
     std::vector<flat_hyp> hyps;
     hyps.reserve(hypotheses.size());
     for (const auto& ovs : hypotheses) {
         validate_overrides(*spec_, ovs);
         flat_hyp h;
         h.enc = encode_hypothesis(*cs_, ovs);
-        if (flat_ok_) {
-            h.ovs.reserve(ovs.size());
-            for (const transition_override& ov : ovs)
-                h.ovs.push_back(lower_override(*cs_, ov));
-        }
+        h.ovs.reserve(ovs.size());
+        for (const transition_override& ov : ovs)
+            h.ovs.push_back(lower_override(*cs_, ov));
         hyps.push_back(std::move(h));
     }
-    std::sort(hyps.begin(), hyps.end(),
-              [](const flat_hyp& a, const flat_hyp& b) {
-                  return a.enc < b.enc;
-              });
+    std::vector<const key_type*> sorted;
+    sorted.reserve(hyps.size());
+    for (const flat_hyp& h : hyps) sorted.push_back(&h.enc);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const key_type* a, const key_type* b) { return *a < *b; });
 
     key_type key;
     key.push_back(static_cast<std::uint32_t>(max_joint_states));
     key.push_back(
         static_cast<std::uint32_t>(std::uint64_t{max_joint_states} >> 32));
     key.push_back(static_cast<std::uint32_t>(hyps.size()));
-    for (const flat_hyp& h : hyps)
-        key.insert(key.end(), h.enc.begin(), h.enc.end());
+    for (const key_type* enc : sorted)
+        key.insert(key.end(), enc->begin(), enc->end());
 
     memo_shard& shard = memo_[key_hash{}(key) % memo_shards];
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -363,24 +315,19 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     }
     const std::uint64_t before = counting->steps_used();
     memo_value value;
-    if (flat_ok_) {
-        ++g_counters.bfs_searches;
-        value.sequence =
-            cs_->words == 1
-                ? flat_search<1>(hyps, max_joint_states, value.memory)
-                : flat_search<runtime_words>(hyps, max_joint_states,
-                                             value.memory);
-    } else {
-        value.sequence = cfsmdiag::splitting_sequence(*spec_, hypotheses,
-                                                      max_joint_states);
-    }
+    ++g_counters.bfs_searches;
+    value.sequence =
+        cs_->words == 1
+            ? flat_search<1>(hyps, max_joint_states, value.memory)
+            : flat_search<runtime_words>(hyps, max_joint_states,
+                                         value.memory);
     value.steps = counting->steps_used() - before;
     auto result = value.sequence;
     shard.map.emplace(std::move(key), std::move(value));
     return result;
 }
 
-std::shared_ptr<const sequence_replay> discrim_engine::replay_for(
+std::shared_ptr<const flat_sequence> discrim_engine::replay_for(
     const std::vector<global_input>& inputs) const {
     key_type key;
     key.reserve(inputs.size() * 2);
@@ -393,26 +340,16 @@ std::shared_ptr<const sequence_replay> discrim_engine::replay_for(
             key.push_back(in.input.id);
         }
     }
-    const std::lock_guard<std::mutex> lock(replay_mutex_);
-    const auto it = replay_cache_.find(key);
-    if (it != replay_cache_.end()) return it->second;
-    // sequence_replay keeps a pointer to the input vector it was built
-    // from, so the cache entry owns a stable copy and the returned handle
-    // aliases the replay inside it.
-    struct cached_replay {
-        std::vector<global_input> inputs;
-        sequence_replay rep;
-        cached_replay(const system& spec, std::vector<global_input> in)
-            : inputs(std::move(in)), rep(spec, inputs) {}
-    };
-    auto holder = std::make_shared<const cached_replay>(*spec_, inputs);
-    std::shared_ptr<const sequence_replay> rep(holder, &holder->rep);
-    replay_cache_.emplace(std::move(key), rep);
+    const std::lock_guard<std::mutex> lock(sequence_mutex_);
+    const auto it = sequence_cache_.find(key);
+    if (it != sequence_cache_.end()) return it->second;
+    auto rep = std::make_shared<const flat_sequence>(*cs_, *spec_, inputs);
+    sequence_cache_.emplace(std::move(key), rep);
     return rep;
 }
 
 std::shared_ptr<const std::vector<proposed_test>>
-discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
+discrim_engine::structured_proposals(const std::vector<diagnosis>& alive,
                                      const step6_options& options) const {
     key_type key;
     const auto push64 = [&key](std::uint64_t v) {
@@ -427,9 +364,9 @@ discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
         key.push_back(t.machine.value);
         key.push_back(t.transition.value);
     }
-    // alive() is sorted and deduplicated by the tracker, so its encoding
-    // is canonical for the live set.
-    for (const diagnosis& d : tracker.alive()) {
+    // `alive` is sorted and deduplicated, so its encoding is canonical for
+    // the live set.
+    for (const diagnosis& d : alive) {
         const key_type enc = encode_hypothesis(*cs_, {d.to_override()});
         key.insert(key.end(), enc.begin(), enc.end());
     }
@@ -438,7 +375,7 @@ discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
     if (it != proposal_cache_.end()) return it->second;
     auto props = std::make_shared<const std::vector<proposed_test>>(
         propose_structured_tests(
-            *spec_, tracker, options,
+            *spec_, alive, options,
             [this](machine_id m, state_id s,
                    const global_search_options& search) {
                 return transfer_for(m, s, search);

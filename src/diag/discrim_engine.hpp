@@ -1,25 +1,18 @@
-// The campaign-wide flat discrimination engine: Step 6's joint hypothesis
-// search re-expressed on the compiled tables and amortized across faults.
+// The campaign-wide flat discrimination engine: Step 6 on the compiled
+// tables, amortized across faults.  It is the only way Step 6 predicts what
+// a hypothesis outputs, in two layers:
 //
-// After the compiled core (diag/compiled.hpp) made Steps 4-5C nearly free,
-// the splitting-sequence search of diag/discriminate.cpp became the hot
-// path: a per-call BFS over map-backed joint states with per-step fsm::find
-// dispatch.  This engine keeps the search's *results* bit-for-bit identical
-// while changing everything about how they are computed, in two layers:
-//
-//   1. Flat joint BFS — the same breadth-first exploration (same input
-//      enumeration, same FIFO order, same `progressed` gate, same visited
-//      cap semantics) over packed W-word states and the compiled dispatch
-//      tables, with an epoch-tagged dense visited set when the joint space
-//      is small and a flat open-addressing set otherwise.  Because the
-//      reference search computes a *specification* step for every explored
-//      (state, input) — and would therefore surface a spec-side simulator
-//      error even when the mutated chain is fine — the flat BFS is enabled
-//      only when a structural analysis of the compiled universe proves spec
-//      chains can never throw (no internal-ε output, acyclic
-//      internal-successor graph, ≤ hop-budget transitions); otherwise the
-//      engine transparently computes through the reference search.  The
-//      state width is no gate: the BFS runs at any `words`.
+//   1. Flat joint BFS — the shortest splitting sequence of a hypothesis set
+//      by breadth-first search (input enumeration, FIFO order, `progressed`
+//      gate and visited-cap semantics fixed, DESIGN.md §5f) over packed
+//      W-word joint states and the compiled dispatch tables, with an
+//      epoch-tagged dense visited set when the joint space is small and a
+//      flat open-addressing set otherwise.  A hypothesis step that fires one
+//      of its targets also steps the spec from the same state, so a spec
+//      chain that throws (an internal ε message, a message cycle past the
+//      hop budget) surfaces exactly where a search stepping the spec before
+//      every hypothesis would surface it.  The state width is no gate: the
+//      BFS runs at any `words`.
 //
 //   2. Cross-fault memoization — a sharded, compute-once memo keyed on the
 //      canonicalized hypothesis set (dense compiled ids for the target and
@@ -32,10 +25,12 @@
 //      allocated, so a step or memory quota trips on a hit exactly where it
 //      would on a miss.
 //
-// Soundness of both layers is argued in DESIGN.md §5f.  The engine is
-// owned by spec_context, immutable from the caller's view, and safe to
-// share across campaign workers (the memo and the caches are
-// mutex-guarded).
+// Next to them it caches, campaign-wide, the flat replay of every
+// additional test (replay_for), the structured proposals of every live set,
+// and the transfer sequences those proposals start with.  Soundness is
+// argued in DESIGN.md §5f.  The engine is owned by spec_context, immutable
+// from the caller's view, and safe to share across campaign workers (the
+// memo and the caches are mutex-guarded).
 #pragma once
 
 #include <array>
@@ -50,8 +45,6 @@
 
 namespace cfsmdiag {
 
-class hypothesis_tracker;
-class sequence_replay;
 struct global_search_options;
 struct proposed_test;
 struct step6_options;
@@ -78,49 +71,44 @@ struct discrim_counters {
 class discrim_engine {
   public:
     /// `cs` and `spec` must outlive the engine (the spec_context owns all
-    /// three).  Construction is cheap: the input enumeration, the flat-path
-    /// gate and the dense-index strides.
+    /// three).  Construction is cheap: the input enumeration and the
+    /// dense-index strides.
     discrim_engine(const compiled_spec& cs, const system& spec);
 
     discrim_engine(const discrim_engine&) = delete;
     discrim_engine& operator=(const discrim_engine&) = delete;
 
-    /// True when the flat joint BFS can run (provably throw-free spec
-    /// chains).  When false the engine still memoizes, but computes through
-    /// the reference search.
-    [[nodiscard]] bool flat_search_available() const noexcept {
-        return flat_ok_;
-    }
-
-    /// Drop-in replacement for splitting_sequence(spec, hypotheses, max):
-    /// byte-identical result (the BFS-canonical shortest splitting
-    /// sequence, or nullopt when the hypotheses are observationally
-    /// equivalent within the cap).  Results are shared across calls and
-    /// threads through the sharded memo; a hit charges the installed budget
-    /// the steps the search took and notes the frontier it allocated, so
-    /// governed runs see the same step counts and memory high water
-    /// whatever the memo holds.
+    /// The shortest input sequence from reset on which two of `hypotheses`
+    /// (each a set of overrides; the empty set is the spec) disagree — the
+    /// BFS-canonical one — or nullopt when they are observationally
+    /// equivalent within the cap.  Throws what the spec or a hypothesis
+    /// throws on a step the search takes, the first in the caller's order.
+    /// Results are shared across calls and threads through the sharded
+    /// memo; a hit charges the installed budget the steps the search took
+    /// and notes the frontier it allocated, so governed runs see the same
+    /// step counts and memory high water whatever the memo holds.
     [[nodiscard]] std::optional<std::vector<global_input>> splitting_sequence(
         const std::vector<std::vector<transition_override>>& hypotheses,
         std::size_t max_joint_states) const;
 
-    /// Campaign-wide spec replay of `inputs`: the sequence_replay the
-    /// tracker's splits()/apply_result() would otherwise construct per
-    /// call, built once per distinct input sequence and shared across
-    /// faults and workers.  The same structured Step 6 proposals recur for
-    /// every fault on the same suspect transition, and each applied test is
-    /// replayed at least twice (splits, then apply_result), so the cache
-    /// turns the dominant per-proposal cost into a lookup.
-    [[nodiscard]] std::shared_ptr<const sequence_replay> replay_for(
+    /// Campaign-wide flat replay of `inputs` (diag/compiled.hpp), built once
+    /// per distinct input sequence and shared across faults and workers:
+    /// the tracker's splits()/apply_result() and each applied test's
+    /// expected output read it.  The same structured Step 6 proposals
+    /// recur for every fault on the same suspect transition, and each
+    /// applied test is replayed at least twice (splits, then apply_result),
+    /// so the cache turns the dominant per-proposal cost into a lookup.
+    [[nodiscard]] std::shared_ptr<const flat_sequence> replay_for(
         const std::vector<global_input>& inputs) const;
 
     /// Campaign-wide structured-proposal cache: the Figure-2 test
     /// derivation is a pure function of (spec, live hypothesis set, step-6
     /// options) — see propose_structured_tests — and faults whose Step 5
     /// survivors coincide are common, so one derivation serves them all.
+    /// `alive` must be sorted and deduplicated (hypothesis_tracker::alive).
     /// Keyed on the canonical hypothesis encodings plus every option field.
     [[nodiscard]] std::shared_ptr<const std::vector<proposed_test>>
-    structured_proposals(const hypothesis_tracker& tracker,
+    structured_proposals(const std::vector<diagnosis>& alive,
                          const step6_options& options) const;
 
   private:
@@ -133,9 +121,9 @@ class discrim_engine {
         std::vector<flat_override> ovs;
         key_type enc;  ///< canonical encoding (memo key)
     };
-    /// Runs the flat joint BFS on W-word states (compiled_spec::words_in);
-    /// `memory_noted` receives the largest frontier footprint it passed to
-    /// the memory quota.
+    /// Runs the flat joint BFS on W-word states (compiled_spec::words_in),
+    /// stepping `hyps` in their order; `memory_noted` receives the largest
+    /// frontier footprint it passed to the memory quota.
     template <std::size_t W>
     [[nodiscard]] std::optional<std::vector<global_input>> flat_search(
         const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
@@ -156,7 +144,6 @@ class discrim_engine {
 
     const compiled_spec* cs_;
     const system* spec_;
-    bool flat_ok_ = false;
 
     /// Input enumeration, identical to all_port_inputs(spec).
     std::vector<global_input> inputs_;
@@ -175,9 +162,9 @@ class discrim_engine {
         /// Governed steps (budget polls) the computation took; every hit is
         /// charged them, so a step quota trips where a miss would.
         std::uint64_t steps = 0;
-        /// Largest frontier footprint the search noted to the memory quota
-        /// (0 on the reference path, which notes none); every hit notes it
-        /// again, so a memory quota trips where a miss would.
+        /// Largest frontier footprint the search noted to the memory
+        /// quota; every hit notes it again, so a memory quota trips where a
+        /// miss would.
         std::size_t memory = 0;
     };
     struct memo_shard {
@@ -186,11 +173,10 @@ class discrim_engine {
     };
     mutable std::array<memo_shard, memo_shards> memo_;
 
-    mutable std::mutex replay_mutex_;
-    mutable std::unordered_map<key_type,
-                               std::shared_ptr<const sequence_replay>,
+    mutable std::mutex sequence_mutex_;
+    mutable std::unordered_map<key_type, std::shared_ptr<const flat_sequence>,
                                key_hash>
-        replay_cache_;
+        sequence_cache_;
 
     mutable std::mutex transfer_mutex_;
     mutable std::unordered_map<key_type,
@@ -205,9 +191,8 @@ class discrim_engine {
         proposal_cache_;
 };
 
-/// Engine-backed observational equivalence: same verdict as
-/// observationally_equivalent(spec, a, b, max_states), shared through the
-/// engine's memo.
+/// Observational equivalence of two hypotheses by the engine's joint BFS,
+/// shared through its memo (a hit cap reports equivalent).
 [[nodiscard]] bool observationally_equivalent(const discrim_engine& engine,
                                               const diagnosis& a,
                                               const diagnosis& b,

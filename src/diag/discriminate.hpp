@@ -15,10 +15,12 @@
 // splitting sequence (guaranteeing maximal discrimination, our completeness
 // fallback).  Hypotheses that survive everything are observationally
 // equivalent: the fault is localized up to equivalence, which is the best
-// any black-box diagnoser can do.
+// any black-box diagnoser can do.  Every prediction runs on the compiled
+// tables of the tracker's discrimination engine (diag/discrim_engine.hpp):
+// its flat replays for splits()/apply_result() and its joint BFS for the
+// splitting sequence.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "diag/diagnosis.hpp"
@@ -27,25 +29,19 @@
 namespace cfsmdiag {
 
 class discrim_engine;
-class sequence_replay;
 
 /// The joint search's input enumeration: every (port, input symbol) pair,
 /// machines in index order, each machine's input alphabet in sorted-id
-/// order.  Exposed so the compiled discrimination engine enumerates inputs
-/// in exactly the reference BFS's order (part of result identity).
+/// order.  The discrimination engine's BFS and the transfer searches
+/// enumerate inputs in this order (part of result identity).
 [[nodiscard]] std::vector<global_input> all_port_inputs(const system& spec);
 
 class hypothesis_tracker {
   public:
-    hypothesis_tracker(const system& spec, std::vector<diagnosis> initial);
-
-    /// Routes find_splitting_sequence() through the compiled discrimination
-    /// engine (diag/discrim_engine.hpp) and takes the spec replays of
-    /// splits()/apply_result() from its campaign-wide cache.  Results are
-    /// byte-identical to the reference search; nullptr detaches.
-    void use_engine(const discrim_engine* engine) noexcept {
-        engine_ = engine;
-    }
+    /// Tracks `initial` (sorted and deduplicated) on `engine`'s compiled
+    /// tables; the engine must outlive the tracker.
+    hypothesis_tracker(const discrim_engine& engine,
+                       std::vector<diagnosis> initial);
 
     [[nodiscard]] const std::vector<diagnosis>& alive() const noexcept {
         return alive_;
@@ -55,51 +51,36 @@ class hypothesis_tracker {
     }
 
     /// True if at least two live hypotheses predict different observations
-    /// for the test (from reset).  Like apply_result(), replays each
-    /// hypothesis only from its first firing step (sequence_replay); the
-    /// verdict equals comparing observe(spec, inputs, hypothesis) outputs.
+    /// for the test (from reset).  Like apply_result(), steps each
+    /// hypothesis only from its first firing on the engine's flat replay of
+    /// `inputs`; the verdict equals comparing observe(spec, inputs,
+    /// hypothesis) outputs.
     [[nodiscard]] bool splits(const std::vector<global_input>& inputs) const;
 
     /// Drops every live hypothesis whose prediction differs from
-    /// `observed`.  Returns the number eliminated.
+    /// `observed` (all of them when `observed` has a different length).
+    /// Returns the number eliminated.
     std::size_t apply_result(const std::vector<global_input>& inputs,
                              const std::vector<observation>& observed);
 
     /// Shortest input sequence (from reset) on which two live hypotheses
-    /// disagree, found by BFS over the joint hypothesis state space;
-    /// nullopt when all live hypotheses are observationally equivalent (or
-    /// the bound is hit).
+    /// disagree, found by the engine's BFS over the joint hypothesis state
+    /// space; nullopt when all live hypotheses are observationally
+    /// equivalent (or the bound is hit).
     [[nodiscard]] std::optional<std::vector<global_input>>
     find_splitting_sequence(std::size_t max_joint_states = 100'000) const;
 
   private:
-    /// The spec replay of `inputs`: the engine's shared one when attached,
-    /// else built here.
-    [[nodiscard]] std::shared_ptr<const sequence_replay> replay(
-        const std::vector<global_input>& inputs) const;
-
-    const system* spec_;
+    const discrim_engine* engine_;
     std::vector<diagnosis> alive_;
-    const discrim_engine* engine_ = nullptr;
 };
 
 /// True if spec⊕a and spec⊕b produce identical observations on every input
-/// sequence (pairwise product BFS; `max_states` bounds the search — a hit
-/// bound conservatively reports *not* equivalent).
+/// sequence (pairwise joint BFS; `max_states` bounds the search — a hit
+/// bound reports equivalent).  Lowers `spec` for this one call; a caller
+/// with a spec_context asks its engine (diag/discrim_engine.hpp).
 [[nodiscard]] bool observationally_equivalent(
     const system& spec, const diagnosis& a, const diagnosis& b,
     std::size_t max_states = 100'000);
-
-/// Generalized splitting search over arbitrary override sets: each
-/// hypothesis is a set of transition overrides applied to the spec (the
-/// empty set is the spec itself).  Returns the shortest input sequence
-/// (from reset) on which two hypotheses disagree, or nullopt when all are
-/// observationally equivalent within the bound.  Shared by the
-/// hypothesis_tracker, the a-priori diagnostic suite generator, and the
-/// multiple-fault extension.
-[[nodiscard]] std::optional<std::vector<global_input>> splitting_sequence(
-    const system& spec,
-    const std::vector<std::vector<transition_override>>& hypotheses,
-    std::size_t max_joint_states = 100'000);
 
 }  // namespace cfsmdiag

@@ -73,7 +73,7 @@ multi_fault_result diagnose_multi(const system& spec,
     multi_fault_result result;
 
     // One context per call: Step-1 traces shared between symptom
-    // collection and the replay cache below.
+    // collection and the replayer below.
     const spec_context ctx(spec, suite);
     const symptom_report report =
         collect_symptoms(spec, suite, iut, ctx.traces());
@@ -102,9 +102,9 @@ multi_fault_result diagnose_multi(const system& spec,
         if (suspicious.count(id) == 0) ordered.push_back(id);
     }
 
-    // The O(pairs) loop below replays every hypothesis set against the
-    // suite; the cache turns most of those replays into prefix checks.
-    const replay_cache cache = ctx.make_replay_cache(report);
+    // The O(pairs) loop below checks every hypothesis set against the
+    // suite on the compiled tables, each case from its earliest firing.
+    flat_replayer replayer(ctx.compiled(), spec, report);
 
     std::vector<fault_set> alive;
     auto consider = [&](fault_set fs) {
@@ -112,7 +112,7 @@ multi_fault_result diagnose_multi(const system& spec,
             result.truncated_hypotheses = true;
             return;
         }
-        if (cache.consistent(fs.to_overrides()))
+        if (replayer.consistent(fs.to_overrides()))
             alive.push_back(std::move(fs));
     };
 
@@ -172,8 +172,9 @@ multi_fault_result diagnose_multi(const system& spec,
             *seq);
         rec.purpose = "multi-fault splitting sequence";
         rec.from_fallback = true;
-        rec.expected = observe(spec, rec.tc.inputs);
+        rec.expected = ctx.discrim().replay_for(rec.tc.inputs)->expected();
         rec.observed = iut.execute(rec.tc.inputs);
+        check_answer(rec.tc.inputs, rec.observed, "diagnose_multi");
         std::vector<fault_set> survivors;
         for (auto& fs : alive) {
             if (observe_multi(spec, rec.tc.inputs, fs.to_overrides()) ==

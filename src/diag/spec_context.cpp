@@ -35,9 +35,4 @@ void spec_context::build_dictionary() const {
         build_fault_dictionary(compiled_, *spec_));
 }
 
-replay_cache spec_context::make_replay_cache(
-    const symptom_report& report) const {
-    return replay_cache(*spec_, suite_, report);
-}
-
 }  // namespace cfsmdiag

@@ -2,10 +2,10 @@
 // function of (spec, suite), computed once and shared by every diagnosis.
 //
 // Before this context existed, each call site assembled the pieces itself —
-// replay the suite on the spec (Step 1), build a replay_cache per report,
-// rebuild firing indexes per fault — and the campaign engine, the CLI, the
-// benches and the tests each did it slightly differently.  A spec_context
-// owns that shared state:
+// replay the suite on the spec (Step 1), build a replay accelerator per
+// report, rebuild firing indexes per fault — and the campaign engine, the
+// CLI, the benches and the tests each did it slightly differently.  A
+// spec_context owns that shared state:
 //   - the test suite (by value: the context is the suite's home — diagnose
 //     against a context, not a (spec, suite) pair),
 //   - the Step-1 spec traces of every case (one replay, ever), shared:
@@ -17,7 +17,13 @@
 //     of any width,
 //   - Step 5B's fault dictionary (DESIGN.md §5i), built lazily: only
 //     campaign_engine::run() asks for it, once per context, so a one-shot
-//     diagnose() never pays for a fill it could not amortize.
+//     diagnose() never pays for a fill it could not amortize,
+//   - the discrimination engine (diag/discrim_engine.hpp), through which
+//     Step 6 predicts every hypothesis's outputs.
+//
+// A caller with no suite, which needs only Step 6's joint search (a
+// witness, a mutation score, an equivalence check), builds
+// `spec_context(spec, {})`: the lowering of an empty suite and its engine.
 //
 // The context holds no per-diagnosis scratch, and every member except the
 // dictionary is fixed at construction; the dictionary is built once and
@@ -26,12 +32,6 @@
 // across campaign worker threads and across engines.  Per-diagnosis state
 // (bit arenas, flat replayers) is created per call — see
 // diagnose(const spec_context&, ...).
-//
-// Construction of replay_cache (the reference replay accelerator, which
-// multi-fault diagnosis and the tests still use) lives here
-// (make_replay_cache) because the cache's correctness depends on the report
-// having been collected against this context's suite; routing construction
-// through the owner of the suite makes that precondition structural.
 #pragma once
 
 #include <memory>
@@ -39,7 +39,6 @@
 
 #include "diag/compiled.hpp"
 #include "diag/discrim_engine.hpp"
-#include "diag/replay_cache.hpp"
 
 namespace cfsmdiag {
 
@@ -96,11 +95,6 @@ class spec_context {
     [[nodiscard]] std::size_t trace_steps() const noexcept {
         return trace_steps_;
     }
-
-    /// Builds the reference-path replay accelerator for one symptom report.
-    /// The report must have been collected against this context's suite.
-    [[nodiscard]] replay_cache make_replay_cache(
-        const symptom_report& report) const;
 
   private:
     const system* spec_;

@@ -5,6 +5,28 @@
 
 namespace cfsmdiag {
 
+void check_answer(const std::vector<global_input>& inputs,
+                  const std::vector<observation>& observed,
+                  const std::string& who) {
+    detail::require(observed.size() == inputs.size(), [&] {
+        return who + ": oracle returned " + std::to_string(observed.size()) +
+               " observations for " + std::to_string(inputs.size()) +
+               " inputs";
+    });
+    for (std::size_t k = 0; k < observed.size(); ++k) {
+        detail::require(observed[k].port.has_value() ==
+                            !observed[k].output.is_epsilon(),
+                        [&] {
+                            return who + ": oracle returned an observation " +
+                                   (observed[k].port ? "with a port but no "
+                                                       "output"
+                                                     : "with an output but "
+                                                       "no port") +
+                                   " at step " + std::to_string(k + 1);
+                        });
+    }
+}
+
 symptom_report collect_symptoms(
     const system& spec, const test_suite& suite, oracle& iut,
     const std::shared_ptr<const suite_traces>& precomputed) {
@@ -41,12 +63,7 @@ symptom_report collect_symptoms(
             run.quarantine_reason = e.what();
             run.observed.assign(tc.inputs.size(), observation::none());
         }
-        detail::require(run.observed.size() == tc.inputs.size(), [&] {
-            return "collect_symptoms: oracle returned " +
-                   std::to_string(run.observed.size()) +
-                   " observations for " + std::to_string(tc.inputs.size()) +
-                   " inputs";
-        });
+        check_answer(tc.inputs, run.observed, "collect_symptoms");
         if (run.quarantined) {
             report.quarantined_cases.push_back(ci);
             report.runs.push_back(std::move(run));

@@ -78,6 +78,15 @@ struct symptom_report {
 /// campaign needs; there is no free function to build these ad hoc.
 using suite_traces = std::vector<std::vector<trace_step>>;
 
+/// Holds one oracle answer to `inputs` to the shape every consumer of it
+/// relies on: one observation per input, each carrying a port iff its
+/// output is not ε.  Throws cfsmdiag::error, prefixed by `who`, otherwise.
+/// collect_symptoms, the diagnoser's additional tests and diagnose_multi
+/// check every answer they use.
+void check_answer(const std::vector<global_input>& inputs,
+                  const std::vector<observation>& observed,
+                  const std::string& who);
+
 /// Runs the suite on the spec (Step 1) and the IUT (Step 2) and compares
 /// (Step 3).  `precomputed`, when given, must be the spec replay of `suite`
 /// (spec_context::traces()) and replaces the Step 1 simulation; each run

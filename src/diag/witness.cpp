@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "diag/spec_context.hpp"
 #include "util/strings.hpp"
 
 namespace cfsmdiag {
@@ -25,8 +26,9 @@ std::optional<fault_witness> witness_test(const system& spec,
                                               fault,
                                           std::size_t max_joint_states) {
     validate_fault(spec, fault);
-    const auto seq = splitting_sequence(spec, {{}, {fault.to_override()}},
-                                        max_joint_states);
+    const spec_context ctx(spec, {});
+    const auto seq = ctx.discrim().splitting_sequence(
+        {{}, {fault.to_override()}}, max_joint_states);
     if (!seq) return std::nullopt;
 
     fault_witness w;

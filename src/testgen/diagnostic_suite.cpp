@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "diag/spec_context.hpp"
+
 namespace cfsmdiag {
 namespace {
 
@@ -26,6 +28,7 @@ std::vector<std::vector<observation>> signature(const system& spec,
 diagnostic_suite_result apriori_diagnostic_suite(
     const system& spec, const diagnostic_suite_options& options) {
     diagnostic_suite_result result;
+    const spec_context ctx(spec, {});
 
     std::vector<hypothesis> hyps;
     hyps.push_back({});  // the spec itself
@@ -65,9 +68,8 @@ diagnostic_suite_result apriori_diagnostic_suite(
                 for (std::size_t b = a + 1; b < members.size(); ++b) {
                     const std::size_t ha = members[a], hb = members[b];
                     if (equivalent_known(ha, hb)) continue;
-                    const auto seq = splitting_sequence(
-                        spec, {hyps[ha], hyps[hb]},
-                        options.max_joint_states);
+                    const auto seq = ctx.discrim().splitting_sequence(
+                        {hyps[ha], hyps[hb]}, options.max_joint_states);
                     if (!seq) {
                         known_equivalent[ha].push_back(hb);
                         known_equivalent[hb].push_back(ha);

@@ -1,6 +1,6 @@
 #include "testgen/mutation.hpp"
 
-#include "diag/discriminate.hpp"
+#include "diag/spec_context.hpp"
 #include "testgen/stats.hpp"
 
 namespace cfsmdiag {
@@ -14,6 +14,7 @@ double mutation_report::score() const noexcept {
 mutation_report mutation_score(const system& spec, const test_suite& suite,
                                const mutation_options& options) {
     mutation_report report;
+    const spec_context ctx(spec, {});
     const auto faults = enumerate_all_faults(spec);
     report.mutants = faults.size();
     for (const auto& f : faults) {
@@ -22,8 +23,9 @@ mutation_report mutation_score(const system& spec, const test_suite& suite,
             continue;
         }
         if (options.check_equivalence &&
-            !splitting_sequence(spec, {{}, {f.to_override()}},
-                                options.max_joint_states)
+            !ctx.discrim()
+                 .splitting_sequence({{}, {f.to_override()}},
+                                     options.max_joint_states)
                  .has_value()) {
             report.equivalent.push_back(f);
         } else {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "reference_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -95,56 +96,48 @@ TEST(compose_test, paper_example_product_size) {
               count_reachable_global_states(ex.spec));
 }
 
+/// The lowered transfer search from reset, held to the reference
+/// std::map search.
+std::optional<std::vector<global_input>> transfer(
+    const system& sys, machine_id m, state_id s,
+    const global_search_options& opts = {}) {
+    const compiled_spec cs = compile_spec(sys, {}, {});
+    const auto seq = global_transfer_to_machine_state(cs, sys, m, s, opts);
+    EXPECT_EQ(seq, ref_oracle::reference_transfer_to_machine_state(sys, m, s,
+                                                                   opts));
+    return seq;
+}
+
 TEST(search_test, transfer_reaches_machine_state) {
     const system sys = make_pair_system();
-    const auto init = initial_global_state(sys);
     // Reach B in q1: shortest is one step (send@P1 or y@P2).
-    const auto seq = global_transfer_to_machine_state(
-        sys, init, machine_id{1}, state_id{1});
+    const auto seq = transfer(sys, machine_id{1}, state_id{1});
     ASSERT_TRUE(seq.has_value());
     EXPECT_EQ(seq->size(), 1u);
 }
 
 TEST(search_test, empty_sequence_when_goal_already_holds) {
     const system sys = make_pair_system();
-    const auto init = initial_global_state(sys);
-    const auto seq = global_transfer_to_machine_state(
-        sys, init, machine_id{0}, state_id{0});
+    const auto seq = transfer(sys, machine_id{0}, state_id{0});
     ASSERT_TRUE(seq.has_value());
     EXPECT_TRUE(seq->empty());
 }
 
 TEST(search_test, avoidance_forces_detour_or_failure) {
     const system sys = make_pair_system();
-    const auto init = initial_global_state(sys);
     // Reach B@q1 while avoiding both b1 (reacts to msg1) and b5 (y@P2):
     // impossible — b3 leaves q1 and b4 requires q1.
     global_search_options opts;
     opts.avoid = {tid(sys, 1, "b1"), tid(sys, 1, "b5")};
-    const auto seq = global_transfer_to_machine_state(
-        sys, init, machine_id{1}, state_id{1}, opts);
+    const auto seq = transfer(sys, machine_id{1}, state_id{1}, opts);
     EXPECT_FALSE(seq.has_value());
 
     // Avoiding only b5 still works via send@P1.
     opts.avoid = {tid(sys, 1, "b5")};
-    const auto seq2 = global_transfer_to_machine_state(
-        sys, init, machine_id{1}, state_id{1}, opts);
+    const auto seq2 = transfer(sys, machine_id{1}, state_id{1}, opts);
     ASSERT_TRUE(seq2.has_value());
     EXPECT_EQ(seq2->size(), 1u);
     EXPECT_EQ(*seq2, (std::vector<global_input>{in(sys, 1, "send")}));
-}
-
-TEST(search_test, goal_predicate_over_tuples) {
-    const system sys = make_pair_system();
-    const auto init = initial_global_state(sys);
-    // Reach (p1, q1) — needs two steps.
-    const auto seq = global_transfer(
-        sys, init, [](const system_state& st) {
-            return st.states[0] == state_id{1} &&
-                   st.states[1] == state_id{1};
-        });
-    ASSERT_TRUE(seq.has_value());
-    EXPECT_EQ(seq->size(), 2u);
 }
 
 }  // namespace

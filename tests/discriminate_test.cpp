@@ -14,7 +14,8 @@ using testing_helpers::tid;
 TEST(tracker_test, deduplicates_initial_hypotheses) {
     const system sys = make_pair_system();
     const diagnosis d{tid(sys, 0, "a1"), std::nullopt, state_id{0}};
-    hypothesis_tracker tracker(sys, {d, d, d});
+    const spec_context ctx(sys, {});
+    hypothesis_tracker tracker(ctx.discrim(), {d, d, d});
     EXPECT_EQ(tracker.count(), 1u);
 }
 
@@ -24,7 +25,9 @@ TEST(tracker_test, splits_detects_diverging_predictions) {
                                  sys.symbols().lookup("ok2"), std::nullopt};
     const diagnosis transfer_fault{tid(sys, 0, "a1"), std::nullopt,
                                    state_id{0}};
-    hypothesis_tracker tracker(sys, {output_fault, transfer_fault});
+    const spec_context ctx(sys, {});
+    hypothesis_tracker tracker(ctx.discrim(),
+                               {output_fault, transfer_fault});
 
     // One x: output fault predicts ok2, transfer fault predicts ok.
     const std::vector<global_input> one{global_input::reset(),
@@ -40,7 +43,9 @@ TEST(tracker_test, apply_result_keeps_consistent_hypotheses) {
                                  sys.symbols().lookup("ok2"), std::nullopt};
     const diagnosis transfer_fault{tid(sys, 0, "a1"), std::nullopt,
                                    state_id{0}};
-    hypothesis_tracker tracker(sys, {output_fault, transfer_fault});
+    const spec_context ctx(sys, {});
+    hypothesis_tracker tracker(ctx.discrim(),
+                               {output_fault, transfer_fault});
 
     const std::vector<global_input> test{global_input::reset(),
                                          in(sys, 1, "x")};
@@ -59,7 +64,8 @@ TEST(tracker_test, find_splitting_sequence_is_minimal_and_valid) {
     // after the respective transition fires.
     const diagnosis h1{tid(sys, 0, "a1"), std::nullopt, state_id{0}};
     const diagnosis h2{tid(sys, 0, "a2"), std::nullopt, state_id{1}};
-    hypothesis_tracker tracker(sys, {h1, h2});
+    const spec_context ctx(sys, {});
+    hypothesis_tracker tracker(ctx.discrim(), {h1, h2});
 
     const auto seq = tracker.find_splitting_sequence();
     ASSERT_TRUE(seq.has_value());
@@ -91,13 +97,14 @@ TEST(tracker_test, equivalent_hypotheses_have_no_splitting_sequence) {
                        state_id{3}};
     EXPECT_TRUE(observationally_equivalent(sys, d1, d2));
 
-    hypothesis_tracker tracker(sys, {d1, d2});
+    const spec_context ctx(sys, {});
+    hypothesis_tracker tracker(ctx.discrim(), {d1, d2});
     EXPECT_FALSE(tracker.find_splitting_sequence().has_value());
 
     // Against a third, distinguishable hypothesis the pair still splits.
     const diagnosis d3{testing_helpers::tid(sys, 0, "a1"),
                        sys.symbols().lookup("y"), std::nullopt};
-    hypothesis_tracker tracker3(sys, {d1, d2, d3});
+    hypothesis_tracker tracker3(ctx.discrim(), {d1, d2, d3});
     EXPECT_TRUE(tracker3.find_splitting_sequence().has_value());
 }
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -78,23 +79,24 @@ TEST_P(invariants, pipeline_lemmas_hold_for_every_detected_fault) {
 
         // I2: truth's transition in every symptomatic conflict set of its
         // machine, hence in the ITC.
-        const auto confl = generate_conflict_sets(sys, report);
+        const auto confl = ref_oracle::generate_conflict_sets(sys, report);
         const auto m = truth.target.machine.value;
         for (const auto& set : confl.per_machine[m]) {
             EXPECT_TRUE(set.count(truth.target.transition) != 0);
         }
-        const auto cands = generate_candidates(sys, report, confl);
+        const auto cands = ref_oracle::generate_candidates(sys, report, confl);
         EXPECT_TRUE(std::binary_search(cands.itc[m].begin(),
                                        cands.itc[m].end(),
                                        truth.target.transition));
 
         // I3: mutation replay accepts the truth.
-        EXPECT_TRUE(hypothesis_consistent(sys, suite, report,
+        EXPECT_TRUE(ref_oracle::hypothesis_consistent(sys, suite, report,
                                           truth.to_override()));
 
         // I4: complete evaluation lists the truth.
         const auto dc =
-            evaluate_candidates_escalated(sys, suite, report, cands);
+            ref_oracle::evaluate_candidates_escalated(sys, suite, report,
+                                                      cands);
         const auto diagnoses = dc.diagnoses();
         EXPECT_NE(std::find(diagnoses.begin(), diagnoses.end(), truth),
                   diagnoses.end());

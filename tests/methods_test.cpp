@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -172,7 +173,7 @@ TEST(diagnostic_suite_test, separates_spec_from_every_detectable_fault) {
         if (!detected) {
             // Must be observationally equivalent to the spec: no splitting
             // sequence exists.
-            const auto seq = splitting_sequence(
+            const auto seq = ref_oracle::splitting_sequence(
                 sys, {{}, {f.to_override()}});
             EXPECT_FALSE(seq.has_value()) << describe(sys, f);
         }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -60,7 +61,7 @@ TEST(multi_diagnoser_test, localizes_a_single_fault_too) {
     // Truth (or an equivalent) among finals.
     bool found = false;
     for (const auto& fs : result.final_hypotheses) {
-        if (!splitting_sequence(sys, {truth.to_overrides(),
+        if (!ref_oracle::splitting_sequence(sys, {truth.to_overrides(),
                                       fs.to_overrides()})
                  .has_value())
             found = true;
@@ -83,7 +84,7 @@ TEST(multi_diagnoser_test, localizes_two_output_faults) {
     ASSERT_TRUE(result.is_localized()) << to_string(result.outcome);
     bool found = false;
     for (const auto& fs : result.final_hypotheses) {
-        if (!splitting_sequence(sys, {truth.to_overrides(),
+        if (!ref_oracle::splitting_sequence(sys, {truth.to_overrides(),
                                       fs.to_overrides()})
                  .has_value())
             found = true;
@@ -106,7 +107,7 @@ TEST(multi_diagnoser_test, localizes_output_plus_transfer_pair) {
     ASSERT_TRUE(result.is_localized()) << to_string(result.outcome);
     bool found = false;
     for (const auto& fs : result.final_hypotheses) {
-        if (!splitting_sequence(sys, {truth.to_overrides(),
+        if (!ref_oracle::splitting_sequence(sys, {truth.to_overrides(),
                                       fs.to_overrides()})
                  .has_value())
             found = true;
@@ -139,7 +140,7 @@ TEST(multi_diagnoser_test, soundness_sweep_over_double_faults) {
                 << to_string(result.outcome);
             bool found = false;
             for (const auto& fs : result.final_hypotheses) {
-                if (!splitting_sequence(sys, {truth.to_overrides(),
+                if (!ref_oracle::splitting_sequence(sys, {truth.to_overrides(),
                                               fs.to_overrides()})
                          .has_value())
                     found = true;

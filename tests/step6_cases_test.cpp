@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ref_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -16,9 +17,9 @@ step6_case classify(const system& spec, const test_suite& suite,
     simulated_iut iut(spec, fault);
     const auto report = collect_symptoms(spec, suite, iut);
     if (!report.has_symptoms()) return step6_case::none;
-    const auto confl = generate_conflict_sets(spec, report);
-    const auto cands = generate_candidates(spec, report, confl);
-    const auto dc = evaluate_candidates(spec, suite, report, cands);
+    const auto confl = ref_oracle::generate_conflict_sets(spec, report);
+    const auto cands = ref_oracle::generate_candidates(spec, report, confl);
+    const auto dc = ref_oracle::evaluate_candidates(spec, suite, report, cands);
     return classify_step6(dc);
 }
 

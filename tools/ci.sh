@@ -77,9 +77,9 @@ cmake --build "${tsan_dir}" -j "${JOBS}" \
       property_test budget_test cfsmdiag_cli
 echo "=== [tsan] run ==="
 "${tsan_dir}/tests/campaign_engine_test"
-# The discrimination engine's sharded memo and replay/proposal caches are
-# shared across campaign workers — the jobs-2 identity and
-# counter-determinism tests are the racy surface.
+# The discrimination engine's sharded memo, its proposal cache and its
+# flat replays of Step 6's tests are shared across campaign workers — the
+# jobs-2 identity and counter-determinism tests are the racy surface.
 "${tsan_dir}/tests/discrim_engine_test"
 # The compiled core is shared across workers (one spec_context per engine,
 # or several engines on one context).  Its tables are fixed at construction;
@@ -112,7 +112,8 @@ echo "=== [asan+ubsan] build resilience tests ==="
 cmake --build "${asan_dir}" -j "${JOBS}" \
       --target resilience_test checkpoint_test bitset_test property_test \
       discrim_engine_test budget_test replay_cache_test packed_bfs_test \
-      cfsmdiag_cli fuzz_io
+      multi_fault_test discriminate_test additional_tests_test \
+      domain_oracle_test cfsmdiag_cli fuzz_io
 echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/resilience_test"
 # The checkpoint layer's POSIX fd handling (spill truncate/append/fsync),
@@ -139,8 +140,17 @@ echo "=== [asan+ubsan] run ==="
 # never reaches and indexes its slots arithmetically; the replay identity
 # test checks every slot of a zoo model, 20 random systems and the
 # two-word token_ring(65), whose diagnoses the wide-system test also holds
-# to the oracle.
+# to the oracle.  The same file holds Step 6's flat replays and the
+# multi-override check to the reference replay on one- and two-word
+# systems: both index packed states and firing lists arithmetically.
 "${asan_dir}/tests/replay_cache_test"
+# Step 6 and the multi-fault extension through the flat replays: the
+# tracker, the proposals, the oracle-answer checks, multi-fault diagnosis,
+# and the fault-domain oracle over every fault of the models it covers.
+"${asan_dir}/tests/discriminate_test"
+"${asan_dir}/tests/additional_tests_test"
+"${asan_dir}/tests/multi_fault_test"
+"${asan_dir}/tests/domain_oracle_test"
 # The tour and the transfer searches run on packed_bfs: its open-addressing
 # visited set probes and rehashes by index arithmetic, and its nodes copy
 # W-word states; the differential tests hold it to the std::map searches
