@@ -17,10 +17,10 @@
 //     port, for an internal-output check (the receiver's reaction reveals
 //     which message type it got).
 //
-// The generator only proposes; the diagnoser applies a proposal when it
-// splits the live hypothesis set and skips it otherwise (a test that cannot
-// split teaches nothing — it is "already included in the initially given
-// test suite" in spirit).
+// The generator only proposes; the diagnoser applies the first proposal
+// that splits the live hypothesis set (discrim_engine::structured_test) and
+// skips those before it (a test that cannot split teaches nothing — it is
+// "already included in the initially given test suite" in spirit).
 #pragma once
 
 #include <functional>

@@ -153,7 +153,9 @@ fault_dictionary fill_fault_dictionary(const compiled_spec& cs,
                                        const system& spec) {
     fault_dictionary fd;
     fd.signature.assign(cs.slot_offset.back(), fault_dictionary::no_signature);
+    fd.by_signature.reserve(cs.slot_offset.back());
     const auto fill = [&](std::uint32_t slot, const flat_override& ov) {
+        fd.by_signature.push_back(slot);
         try {
             fd.signature[slot] = suite_signature<W>(cs, spec, ov);
         } catch (const error&) {
@@ -179,6 +181,7 @@ fault_dictionary fill_fault_dictionary(const compiled_spec& cs,
             }
         }
     }
+    fd.sort_index();
     return fd;
 }
 
@@ -536,12 +539,14 @@ flat_replayer::flat_replayer(const compiled_spec& cs, const system& spec,
     detail::require(dictionary->signature.size() == cs.slot_offset.back(),
                     "flat_replayer: fault dictionary does not match the "
                     "compiled suite");
-    signatures_ = dictionary->signature.data();
+    std::uint64_t observed = 0;
     for (std::size_t ci = 0; ci < cases_.size(); ++ci) {
         for (const std::size_t k : *cases_[ci].symptom_steps)
-            observed_signature_ += signature_term(
-                ci, k, cases_[ci].observed[k], cs.cases[ci].expected[k]);
+            observed += signature_term(ci, k, cases_[ci].observed[k],
+                                       cs.cases[ci].expected[k]);
     }
+    flagged_ = dictionary->flagged(observed);
+    every_hypothesis_flagged_ = false;
 }
 
 flat_replayer::flat_replayer(const flat_sequence& seq,

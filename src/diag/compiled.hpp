@@ -38,9 +38,10 @@
 // additional tests).
 //
 // `fault_dictionary` tabulates, once per (spec, suite), a whole-suite
-// signature of every single-transition hypothesis's prediction; a
-// flat_replayer given one refutes a hypothesis whose signature differs
-// from the report's without replaying it (DESIGN.md §5i).
+// signature of every single-transition hypothesis's prediction, and
+// indexes the hypotheses by signature; a flat_replayer given one flags
+// the hypotheses that share the report's signature, or have none, and
+// Step 5B replays only those (DESIGN.md §5i).
 //
 // The kernels that step packed states (flat_step, the replayer, the
 // dictionary fill, the discrimination engine's joint BFS and packed_bfs,
@@ -52,13 +53,12 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 
 #include "cfsm/trace.hpp"
 #include "diag/candidates.hpp"
-#include "diag/hypotheses.hpp"
 #include "diag/symptom.hpp"
 #include "util/bitset.hpp"
-#include "util/budget.hpp"
 
 namespace cfsmdiag {
 
@@ -370,7 +370,9 @@ struct compiled_conflicts {
 /// positions where spec ⊕ h's observation differs from the spec's of
 /// term(position, predicted) − term(position, expected), a position-keyed
 /// additive hash.  Equal whole-suite predictions give equal signatures, so
-/// a report whose signature differs refutes the hypothesis.
+/// a report whose signature differs refutes the hypothesis.  The index
+/// `by_signature` turns Step 5B's question around: which hypotheses share
+/// the report's signature (DESIGN.md §5i).
 struct fault_dictionary {
     /// A slot without a signature: its fill threw (internal ε, hop budget),
     /// it is the specified next state or output, or its sum happened to
@@ -378,11 +380,27 @@ struct fault_dictionary {
     static constexpr std::uint64_t no_signature = ~std::uint64_t{0};
 
     std::vector<std::uint64_t> signature;  ///< indexed by slot
+    /// Every slot Step 5B can ask for, ordered by (signature, slot).  The
+    /// specified next state's transfer slot and its output+transfer row
+    /// are never asked for and are left out.
+    std::vector<std::uint32_t> by_signature;
+
+    /// Orders `by_signature` by (signature, slot): the fill's last step.
+    void sort_index();
+    /// The askable slots whose signature is `sig`, ascending.
+    [[nodiscard]] std::span<const std::uint32_t> group(
+        std::uint64_t sig) const noexcept;
+    /// The slots Step 5B replays on a report whose signature is
+    /// `observed`: its group merged with the no_signature group, ascending
+    /// (that one group when `observed` is no_signature).
+    [[nodiscard]] std::vector<std::uint32_t> flagged(
+        std::uint64_t observed) const;
 };
 
 /// Fills the dictionary of every slot of `cs` with flat_step, walking each
 /// case from the target's first firing and jumping re-synchronized
-/// stretches to its next firing (DESIGN.md §5c).
+/// stretches to its next firing (DESIGN.md §5c), and sorts the askable
+/// slots into its index.
 [[nodiscard]] fault_dictionary build_fault_dictionary(const compiled_spec& cs,
                                                       const system& spec);
 
@@ -427,8 +445,9 @@ class flat_sequence {
 /// (Step 6).  Each case is resolved by the prefix lemma +
 /// re-synchronization (bumping the case-skip/suffix counters), never
 /// replayed from reset.  Given a fault dictionary and a report without
-/// quarantined cases, a hypothesis whose slot signature differs from the
-/// report's is refuted without a replay; every other one is replayed.
+/// quarantined cases, it flags the slots whose signature equals the
+/// report's or is no_signature: a hypothesis with any other slot predicts
+/// the suite differently, so Step 5B refutes it without a replay.
 ///
 /// Not thread-safe (owns scratch buffers); build one per diagnosis.
 class flat_replayer {
@@ -443,35 +462,25 @@ class flat_replayer {
     flat_replayer(const flat_sequence& seq,
                   std::vector<std::uint64_t> observed);
 
-    /// Whether spec ⊕ `ov` reproduces the report; `slot` is `ov`'s
-    /// dictionary slot, or invalid_index when it has none.
-    [[nodiscard]] bool consistent(const transition_override& ov,
-                                  std::uint32_t slot = invalid_index) {
-        // campaign_entry::replays is part of the entry's identity, so Step
-        // 5B counts each hypothesis it checks, refuted by signature or not.
-        detail::note_hypothesis_replay();
-        detail::budget_poll();
-        if (signatures_ && slot != invalid_index) {
-            const std::uint64_t sig = signatures_[slot];
-            if (sig != observed_signature_ &&
-                sig != fault_dictionary::no_signature)
-                return false;
-        }
+    /// The flagged slots, ascending, or nullptr when every hypothesis is
+    /// flagged (no dictionary, or a report with a quarantined case).
+    [[nodiscard]] const std::vector<std::uint32_t>* flagged() const noexcept {
+        return every_hypothesis_flagged_ ? nullptr : &flagged_;
+    }
+
+    /// Whether spec ⊕ `ov` reproduces the observations.  Counts no
+    /// hypothesis replay and polls no budget: Step 5B charges those for
+    /// every hypothesis it enumerates, replayed or not.
+    [[nodiscard]] bool matches(const transition_override& ov) {
         return replay(ov);
     }
 
     /// Whether spec ⊕ all of `ovs` (distinct targets) reproduces the
     /// observations: the multi-fault extension's check, where the prefix
-    /// lemma holds up to the earliest first firing of any target.  Uses no
-    /// dictionary, counts no hypothesis replay and polls no budget.
+    /// lemma holds up to the earliest first firing of any target.  Counts
+    /// no hypothesis replay and polls no budget.
     [[nodiscard]] bool consistent(
         const std::vector<transition_override>& ovs);
-
-    /// Whether spec ⊕ `ov` reproduces the observations, without counting a
-    /// hypothesis replay or polling the budget: Step 6's filter.
-    [[nodiscard]] bool matches(const transition_override& ov) {
-        return replay(ov);
-    }
 
   private:
     struct case_obs {
@@ -499,10 +508,6 @@ class flat_replayer {
     std::vector<case_obs> cases_;
     /// The sequence's symptom steps (the report holds Step 5B's).
     std::vector<std::size_t> sequence_symptoms_;
-    /// The dictionary's signatures, or nullptr when there is none or the
-    /// report has a quarantined case (whose positions the fill covered).
-    const std::uint64_t* signatures_ = nullptr;
-    std::uint64_t observed_signature_ = 0;
     /// Epoch-tagged suffix memo, indexed by class representative step;
     /// memo_after_ holds `words` words per step.
     std::vector<std::uint32_t> memo_epoch_;
@@ -511,6 +516,10 @@ class flat_replayer {
     std::uint32_t epoch_ = 0;
     /// The unsynchronized mutated state of the runtime-width replay.
     std::vector<std::uint64_t> state_;
+    /// See flagged().  Declared after the members the replay reads, so
+    /// that their offsets, and the replay's code, stay as they were.
+    std::vector<std::uint32_t> flagged_;
+    bool every_hypothesis_flagged_ = true;
 };
 
 }  // namespace cfsmdiag

@@ -247,18 +247,15 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         if (tracker.count() <= 1) break;
         bool progressed = false;
         if (options.structured_step6) {
-            // The derivation comes from the engine's campaign-wide cache
-            // (identical proposals, computed once per distinct live set).
-            const auto proposals =
-                engine.structured_proposals(tracker.alive(), options.step6);
-            for (const auto& p : *proposals) {
-                if (tracker.count() <= 1) break;
-                if (!tracker.splits(p.tc.inputs)) continue;
-                if (!apply_test(engine, iut, tracker, result, p.tc, p.purpose,
-                                /*from_fallback=*/false))
+            // The first structured proposal that splits the live set, from
+            // the engine's campaign-wide cache (chosen once per distinct
+            // live set); the next round re-proposes against the reduced set.
+            if (const proposed_test* p =
+                    engine.structured_test(tracker.alive(), options.step6)) {
+                if (!apply_test(engine, iut, tracker, result, p->tc,
+                                p->purpose, /*from_fallback=*/false))
                     unreliable_tests = true;
                 progressed = true;
-                break;  // re-propose against the reduced live set
             }
         }
         // A quarantined additional test means the lab can no longer settle

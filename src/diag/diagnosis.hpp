@@ -62,9 +62,13 @@ struct diagnostic_candidates {
     [[nodiscard]] std::vector<diagnosis> diagnoses() const;
 };
 
-/// Steps 5B + 5C with the paper's flag routing, every hypothesis checked
-/// by `replayer` (built over the same report), with the admissible pools
-/// precomputed in `cs`.
+/// Steps 5B + 5C with the paper's flag routing, on `replayer` (built over
+/// the same report), with the admissible pools precomputed in `cs`.  The
+/// hypotheses are walked in the paper's enumeration order; those the
+/// replayer flags, and those without a dictionary slot, are replayed, and
+/// the rest are charged without a replay, so hypothesis_replays(), budget
+/// polls and verdicts are those of a replay of every hypothesis
+/// (DESIGN.md §5i).
 [[nodiscard]] diagnostic_candidates evaluate_candidates(
     const compiled_spec& cs, flat_replayer& replayer,
     const symptom_report& report, const candidate_sets& cands);
@@ -73,7 +77,8 @@ struct diagnostic_candidates {
 /// admissible pool) and statout — plus, when `include_addressing` is set,
 /// the wrong-destination hypotheses of the addressing extension.  Complete
 /// for the single-transition fault model: the true fault's hypothesis is
-/// always consistent, so it is found.
+/// always consistent, so it is found.  Walks its hypotheses as
+/// evaluate_candidates does.
 [[nodiscard]] diagnostic_candidates evaluate_candidates_escalated(
     const compiled_spec& cs, flat_replayer& replayer,
     const symptom_report& report, const candidate_sets& cands,

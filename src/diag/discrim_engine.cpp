@@ -348,9 +348,19 @@ std::shared_ptr<const flat_sequence> discrim_engine::replay_for(
     return rep;
 }
 
-std::shared_ptr<const std::vector<proposed_test>>
-discrim_engine::structured_proposals(const std::vector<diagnosis>& alive,
-                                     const step6_options& options) const {
+bool discrim_engine::splits(const std::vector<diagnosis>& alive,
+                            const std::vector<global_input>& inputs) const {
+    if (alive.size() < 2) return false;
+    const auto seq = replay_for(inputs);
+    flat_replayer same_as_first(*seq, seq->predict(alive[0].to_override()));
+    for (std::size_t i = 1; i < alive.size(); ++i) {
+        if (!same_as_first.matches(alive[i].to_override())) return true;
+    }
+    return false;
+}
+
+const proposed_test* discrim_engine::structured_test(
+    const std::vector<diagnosis>& alive, const step6_options& options) const {
     key_type key;
     const auto push64 = [&key](std::uint64_t v) {
         key.push_back(static_cast<std::uint32_t>(v));
@@ -370,18 +380,25 @@ discrim_engine::structured_proposals(const std::vector<diagnosis>& alive,
         const key_type enc = encode_hypothesis(*cs_, {d.to_override()});
         key.insert(key.end(), enc.begin(), enc.end());
     }
-    const std::lock_guard<std::mutex> lock(proposal_mutex_);
-    const auto it = proposal_cache_.find(key);
-    if (it != proposal_cache_.end()) return it->second;
-    auto props = std::make_shared<const std::vector<proposed_test>>(
-        propose_structured_tests(
-            *spec_, alive, options,
-            [this](machine_id m, state_id s,
-                   const global_search_options& search) {
-                return transfer_for(m, s, search);
-            }));
-    proposal_cache_.emplace(std::move(key), props);
-    return props;
+    const std::lock_guard<std::mutex> lock(applied_test_mutex_);
+    auto it = applied_test_cache_.find(key);
+    if (it == applied_test_cache_.end()) {
+        std::optional<proposed_test> chosen;
+        for (proposed_test& p : propose_structured_tests(
+                 *spec_, alive, options,
+                 [this](machine_id m, state_id s,
+                        const global_search_options& search) {
+                     return transfer_for(m, s, search);
+                 })) {
+            if (splits(alive, p.tc.inputs)) {
+                chosen = std::move(p);
+                break;
+            }
+        }
+        it = applied_test_cache_.emplace(std::move(key), std::move(chosen))
+                 .first;
+    }
+    return it->second ? &*it->second : nullptr;
 }
 
 std::optional<std::vector<global_input>> discrim_engine::transfer_for(

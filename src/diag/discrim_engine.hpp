@@ -26,11 +26,11 @@
 //      would on a miss.
 //
 // Next to them it caches, campaign-wide, the flat replay of every
-// additional test (replay_for), the structured proposals of every live set,
-// and the transfer sequences those proposals start with.  Soundness is
-// argued in DESIGN.md §5f.  The engine is owned by spec_context, immutable
-// from the caller's view, and safe to share across campaign workers (the
-// memo and the caches are mutex-guarded).
+// additional test (replay_for), the structured test Step 6 applies to each
+// live set, and the transfer sequences the proposals start with.
+// Soundness is argued in DESIGN.md §5f.  The engine is owned by
+// spec_context, immutable from the caller's view, and safe to share across
+// campaign workers (the memo and the caches are mutex-guarded).
 #pragma once
 
 #include <array>
@@ -40,14 +40,11 @@
 #include <optional>
 #include <unordered_map>
 
+#include "diag/additional_tests.hpp"
 #include "diag/compiled.hpp"
 #include "diag/diagnosis.hpp"
 
 namespace cfsmdiag {
-
-struct global_search_options;
-struct proposed_test;
-struct step6_options;
 
 /// Thread-local discrimination cost counters, monotone per thread —
 /// snapshot before and after a diagnose() run and subtract, exactly like
@@ -93,23 +90,32 @@ class discrim_engine {
 
     /// Campaign-wide flat replay of `inputs` (diag/compiled.hpp), built once
     /// per distinct input sequence and shared across faults and workers:
-    /// the tracker's splits()/apply_result() and each applied test's
-    /// expected output read it.  The same structured Step 6 proposals
-    /// recur for every fault on the same suspect transition, and each
-    /// applied test is replayed at least twice (splits, then apply_result),
-    /// so the cache turns the dominant per-proposal cost into a lookup.
+    /// splits(), the tracker's apply_result() and each applied test's
+    /// expected output read it.  The same structured Step 6 tests recur for
+    /// every fault on the same suspect transition, and each applied test is
+    /// replayed at least twice (splits, then apply_result), so the cache
+    /// turns the dominant per-test cost into a lookup.
     [[nodiscard]] std::shared_ptr<const flat_sequence> replay_for(
         const std::vector<global_input>& inputs) const;
 
-    /// Campaign-wide structured-proposal cache: the Figure-2 test
-    /// derivation is a pure function of (spec, live hypothesis set, step-6
-    /// options) — see propose_structured_tests — and faults whose Step 5
-    /// survivors coincide are common, so one derivation serves them all.
-    /// `alive` must be sorted and deduplicated (hypothesis_tracker::alive).
-    /// Keyed on the canonical hypothesis encodings plus every option field.
-    [[nodiscard]] std::shared_ptr<const std::vector<proposed_test>>
-    structured_proposals(const std::vector<diagnosis>& alive,
-                         const step6_options& options) const;
+    /// Whether at least two of `alive` predict different observations for
+    /// `inputs` (from reset), on replay_for(inputs): each hypothesis is
+    /// stepped only from its first firing.  The verdict equals comparing
+    /// observe(spec, inputs, hypothesis) outputs.
+    [[nodiscard]] bool splits(const std::vector<diagnosis>& alive,
+                              const std::vector<global_input>& inputs) const;
+
+    /// Campaign-wide applied-test cache: the first propose_structured_tests
+    /// proposal for `alive` that splits it, or nullptr when none does — the
+    /// test Step 6 applies next.  A pure function of (spec, live set,
+    /// step-6 options), and faults whose Step 5 survivors coincide are
+    /// common, so one choice serves them all.  `alive` must be sorted and
+    /// deduplicated (hypothesis_tracker::alive).  Keyed on the canonical
+    /// hypothesis encodings plus every option field; a choice that throws
+    /// caches nothing.  The pointer stays valid for the engine's lifetime.
+    [[nodiscard]] const proposed_test* structured_test(
+        const std::vector<diagnosis>& alive,
+        const step6_options& options) const;
 
   private:
     using key_type = std::vector<std::uint32_t>;
@@ -184,11 +190,10 @@ class discrim_engine {
                                key_hash>
         transfer_cache_;
 
-    mutable std::mutex proposal_mutex_;
-    mutable std::unordered_map<
-        key_type, std::shared_ptr<const std::vector<proposed_test>>,
-        key_hash>
-        proposal_cache_;
+    mutable std::mutex applied_test_mutex_;
+    mutable std::unordered_map<key_type, std::optional<proposed_test>,
+                               key_hash>
+        applied_test_cache_;
 };
 
 /// Observational equivalence of two hypotheses by the engine's joint BFS,

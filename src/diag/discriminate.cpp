@@ -24,16 +24,7 @@ hypothesis_tracker::hypothesis_tracker(const discrim_engine& engine,
 
 bool hypothesis_tracker::splits(
     const std::vector<global_input>& inputs) const {
-    if (alive_.size() < 2) return false;
-    // One spec replay of `inputs`, shared through the engine; each
-    // hypothesis then steps only from its first firing.
-    const auto seq = engine_->replay_for(inputs);
-    flat_replayer same_as_first(*seq,
-                                seq->predict(alive_[0].to_override()));
-    for (std::size_t i = 1; i < alive_.size(); ++i) {
-        if (!same_as_first.matches(alive_[i].to_override())) return true;
-    }
-    return false;
+    return engine_->splits(alive_, inputs);
 }
 
 std::size_t hypothesis_tracker::apply_result(

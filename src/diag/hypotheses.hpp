@@ -17,9 +17,10 @@ namespace cfsmdiag {
 namespace detail {
 inline constinit thread_local std::size_t replay_count = 0;
 
-/// Bumps the hypothesis_replays() counter, once per Step 5B hypothesis.
-/// Inline: it runs once per hypothesis.
-inline void note_hypothesis_replay() noexcept { ++replay_count; }
+/// Adds `n` Step 5B hypotheses to the hypothesis_replays() counter.
+inline void note_hypothesis_replays(std::size_t n = 1) noexcept {
+    replay_count += n;
+}
 
 /// Counter hooks for the prefix lemma (flat_replayer): a case resolved
 /// without stepping, and a case stepped from a firing.

@@ -15,9 +15,10 @@
 //     dispatch tables, admissible-output pools, per-case firing indexes and
 //     the W-word state packing the per-fault hot path runs on, for systems
 //     of any width,
-//   - Step 5B's fault dictionary (DESIGN.md §5i), built lazily: only
-//     campaign_engine::run() asks for it, once per context, so a one-shot
-//     diagnose() never pays for a fill it could not amortize,
+//   - Step 5B's fault dictionary and its signature index (DESIGN.md §5i),
+//     built lazily: only campaign_engine::run() asks for them, once per
+//     context, so a one-shot diagnose() never pays for a fill it could
+//     not amortize,
 //   - the discrimination engine (diag/discrim_engine.hpp), through which
 //     Step 6 predicts every hypothesis's outputs.
 //

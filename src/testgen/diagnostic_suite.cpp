@@ -1,7 +1,7 @@
 #include "testgen/diagnostic_suite.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 
 #include "diag/spec_context.hpp"
 
@@ -10,18 +10,6 @@ namespace {
 
 /// Hypothesis 0 is the specification (no overrides); the rest are faults.
 using hypothesis = std::vector<transition_override>;
-
-/// Observation signature of one hypothesis over the whole suite.
-std::vector<std::vector<observation>> signature(const system& spec,
-                                                const test_suite& suite,
-                                                const hypothesis& h) {
-    std::vector<std::vector<observation>> out;
-    out.reserve(suite.size());
-    simulator sim(spec, h);
-    for (const auto& tc : suite.cases) out.push_back(
-        sim.run_from_reset(tc.inputs));
-    return out;
-}
 
 }  // namespace
 
@@ -40,9 +28,41 @@ diagnostic_suite_result apriori_diagnostic_suite(
     }
     result.hypotheses = hyps.size() - 1;
 
-    // Partition hypotheses by signature; try to split mixed blocks.
-    // `inseparable[i]` accumulates hypotheses proven equivalent to i so we
-    // don't retry hopeless pairs.
+    // The hypotheses partitioned by their observations on the suite so far:
+    // blocks in the order of those whole-suite observation vectors
+    // (lexicographic, test by test), members ascending, and rank[i] the
+    // position of hypothesis i's block.  A new test refines it: blocks
+    // ordered by (rank, observations of the new test) order exactly as
+    // whole-suite observation vectors do, so the suite is never replayed.
+    std::vector<std::vector<std::size_t>> blocks(1);
+    for (std::size_t i = 0; i < hyps.size(); ++i) blocks[0].push_back(i);
+    std::vector<std::size_t> rank(hyps.size(), 0);
+    const auto refine = [&](const std::vector<global_input>& inputs) {
+        const auto seq = ctx.discrim().replay_for(inputs);
+        std::vector<std::vector<std::uint64_t>> outputs;
+        outputs.reserve(hyps.size());
+        outputs.push_back(seq->tables().expected);
+        for (std::size_t i = 1; i < hyps.size(); ++i)
+            outputs.push_back(seq->predict(hyps[i].front()));
+        const auto before = [&](std::size_t a, std::size_t b) {
+            if (rank[a] != rank[b]) return rank[a] < rank[b];
+            return outputs[a] < outputs[b];
+        };
+        std::vector<std::size_t> order(hyps.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::stable_sort(order.begin(), order.end(), before);
+        blocks.clear();
+        for (std::size_t k = 0; k < order.size(); ++k) {
+            if (k == 0 || before(order[k - 1], order[k])) blocks.emplace_back();
+            blocks.back().push_back(order[k]);
+        }
+        for (std::size_t b = 0; b < blocks.size(); ++b)
+            for (const std::size_t i : blocks[b]) rank[i] = b;
+    };
+
+    // Split mixed blocks, the first block first.  `known_equivalent[i]`
+    // accumulates hypotheses proven equivalent to i so we don't retry
+    // hopeless pairs.
     std::vector<std::vector<std::size_t>> known_equivalent(hyps.size());
     auto equivalent_known = [&](std::size_t a, std::size_t b) {
         return std::find(known_equivalent[a].begin(),
@@ -50,48 +70,33 @@ diagnostic_suite_result apriori_diagnostic_suite(
                          b) != known_equivalent[a].end();
     };
 
-    bool progress = true;
-    while (progress && result.suite.size() < options.max_tests) {
-        progress = false;
-
-        // Refine the partition under the current suite.
-        std::map<std::vector<std::vector<observation>>,
-                 std::vector<std::size_t>>
-            blocks;
-        for (std::size_t i = 0; i < hyps.size(); ++i)
-            blocks[signature(spec, result.suite, hyps[i])].push_back(i);
-
-        for (auto& [sig, members] : blocks) {
+    while (result.suite.size() < options.max_tests) {
+        std::optional<std::vector<global_input>> test;
+        for (const auto& members : blocks) {
             if (members.size() < 2) continue;
             // Find one splittable pair in this block.
-            for (std::size_t a = 0; a < members.size() && !progress; ++a) {
+            for (std::size_t a = 0; a < members.size() && !test; ++a) {
                 for (std::size_t b = a + 1; b < members.size(); ++b) {
                     const std::size_t ha = members[a], hb = members[b];
                     if (equivalent_known(ha, hb)) continue;
-                    const auto seq = ctx.discrim().splitting_sequence(
+                    test = ctx.discrim().splitting_sequence(
                         {hyps[ha], hyps[hb]}, options.max_joint_states);
-                    if (!seq) {
-                        known_equivalent[ha].push_back(hb);
-                        known_equivalent[hb].push_back(ha);
-                        continue;
-                    }
-                    result.suite.add(test_case::from_inputs(
-                        "dx" + std::to_string(result.suite.size() + 1),
-                        *seq));
-                    progress = true;
-                    break;
+                    if (test) break;
+                    known_equivalent[ha].push_back(hb);
+                    known_equivalent[hb].push_back(ha);
                 }
             }
-            if (progress) break;  // re-refine with the new test
+            if (test) break;
         }
+        if (!test) break;
+        result.suite.add(test_case::from_inputs(
+            "dx" + std::to_string(result.suite.size() + 1), *test));
+        refine(*test);
     }
 
-    // Count residual mixed blocks (all-equivalent groups).
-    std::map<std::vector<std::vector<observation>>, std::size_t> final_blocks;
-    for (std::size_t i = 0; i < hyps.size(); ++i)
-        ++final_blocks[signature(spec, result.suite, hyps[i])];
-    for (const auto& [sig, n] : final_blocks) {
-        if (n >= 2) ++result.equivalent_groups;
+    // Residual mixed blocks are all-equivalent groups.
+    for (const auto& members : blocks) {
+        if (members.size() >= 2) ++result.equivalent_groups;
     }
     result.truncated = result.suite.size() >= options.max_tests;
     return result;

@@ -11,10 +11,12 @@
 //
 // Built greedily: refine a partition of {spec} ∪ hypotheses by observation
 // signature; while a block holds two non-equivalent members, add their
-// shortest splitting sequence as a test and re-refine.  The result is the
-// honest "strong diagnostic power" baseline for the adaptive-vs-suites
-// benchmark — the paper's claim is precisely that adaptive diagnosis avoids
-// paying this suite's cost on every test campaign.
+// shortest splitting sequence as a test and refine by that test alone,
+// each hypothesis's outputs predicted on the compiled tables.  The result
+// is the honest "strong diagnostic power" baseline for the
+// adaptive-vs-suites benchmark — the paper's claim is precisely that
+// adaptive diagnosis avoids paying this suite's cost on every test
+// campaign.
 #pragma once
 
 #include "diag/discriminate.hpp"

@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -178,6 +179,14 @@ class run_budget {
 
     [[nodiscard]] std::uint64_t steps_used() const noexcept {
         return steps_;
+    }
+    /// The number of poll() calls that pass the step quota from here: the
+    /// one after them throws resource_exhausted, and so does charge(n) for
+    /// any n > polls_left().  The quota alone: the deadline and the cancel
+    /// token are not counted.  The largest value without a quota.
+    [[nodiscard]] std::uint64_t polls_left() const noexcept {
+        if (!step_quota_) return std::numeric_limits<std::uint64_t>::max();
+        return steps_ < *step_quota_ ? *step_quota_ - steps_ : 0;
     }
     [[nodiscard]] std::size_t memory_high_water() const noexcept {
         return memory_high_water_;

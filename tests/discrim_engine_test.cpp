@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <typeinfo>
 
@@ -370,43 +371,88 @@ TEST(discrim_engine, malformed_override_error_parity) {
     }
 }
 
-TEST(discrim_engine, structured_proposals_and_replays_match_uncached) {
-    const auto ex = paperex::make_paper_example();
-    const test_suite suite = transition_tour(ex.spec).suite;
-    const spec_context ctx(ex.spec, suite);
-
-    // A live set with more than one hypothesis, as Step 6 would hold it.
-    simulated_iut iut(ex.spec, ex.fault);
-    const auto result = diagnose(ex.spec, ex.suite, iut);
-    ASSERT_FALSE(result.initial_diagnoses.empty());
-    const auto live = ref_oracle::live_set(result.initial_diagnoses);
-
-    const auto cached = ctx.discrim().structured_proposals(live, {});
-    const auto fresh = propose_structured_tests(ex.spec, live, {});
-    ASSERT_EQ(cached->size(), fresh.size());
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        EXPECT_EQ((*cached)[i].tc.inputs, fresh[i].tc.inputs);
-        EXPECT_EQ((*cached)[i].suspect, fresh[i].suspect);
-        EXPECT_EQ((*cached)[i].purpose, fresh[i].purpose);
+/// Whether two of `alive` predict different outputs for `inputs`, by the
+/// reference simulator.
+bool reference_splits(const cfsmdiag::system& spec,
+                      const std::vector<diagnosis>& alive,
+                      const std::vector<global_input>& inputs) {
+    for (std::size_t i = 1; i < alive.size(); ++i) {
+        if (observe(spec, inputs, alive[i].to_override()) !=
+            observe(spec, inputs, alive[0].to_override()))
+            return true;
     }
-    // Second lookup returns the same shared derivation.
-    EXPECT_EQ(cached.get(),
-              ctx.discrim().structured_proposals(live, {}).get());
+    return false;
+}
+
+TEST(discrim_engine, structured_proposals_and_replays_match_uncached) {
+    // The applied-test cache: on every live set a sliding_window(4)
+    // campaign reaches, the cached test is the first propose_structured_tests
+    // proposal that splits the set, or there is none.
+    const cfsmdiag::system spec = models::sliding_window(4);
+    const spec_context ctx(spec, transition_tour(spec).suite);
+    const discrim_engine& engine = ctx.discrim();
+    const step6_options options;
+    std::set<std::vector<diagnosis>> seen;
+    std::size_t with_test = 0;
+    const auto expect_first_splitting = [&](const std::vector<diagnosis>&
+                                                live) {
+        if (live.size() < 2 || !seen.insert(live).second) return;
+        const proposed_test* cached = engine.structured_test(live, options);
+        EXPECT_EQ(cached, engine.structured_test(live, options));
+        const auto fresh = propose_structured_tests(spec, live, options);
+        const auto first = std::find_if(
+            fresh.begin(), fresh.end(), [&](const proposed_test& p) {
+                return reference_splits(spec, live, p.tc.inputs);
+            });
+        if (first == fresh.end()) {
+            EXPECT_EQ(cached, nullptr);
+            return;
+        }
+        ++with_test;
+        ASSERT_NE(cached, nullptr);
+        EXPECT_EQ(cached->tc.inputs, first->tc.inputs);
+        EXPECT_EQ(cached->tc.name, first->tc.name);
+        EXPECT_EQ(cached->suspect, first->suspect);
+        EXPECT_EQ(cached->purpose, first->purpose);
+    };
+    for (const auto& fault : enumerate_all_faults(spec)) {
+        SCOPED_TRACE(describe(spec, fault));
+        simulated_iut iut(spec, fault);
+        const diagnosis_result r = diagnose(ctx, iut);
+        // Step 6 starts a round from the initial set and from the set each
+        // applied test leaves.
+        hypothesis_tracker tracker(engine, r.initial_diagnoses);
+        expect_first_splitting(tracker.alive());
+        for (const additional_test_record& rec : r.additional_tests) {
+            if (rec.quarantined) continue;
+            (void)tracker.apply_result(rec.tc.inputs, rec.observed);
+            expect_first_splitting(tracker.alive());
+        }
+        EXPECT_EQ(tracker.alive(), r.final_diagnoses);
+    }
+    EXPECT_GT(with_test, 0u);
+    EXPECT_GT(seen.size(), with_test);
 
     // Cached flat replays predict exactly like the reference replay.
-    if (!fresh.empty()) {
-        const auto& inputs = fresh.front().tc.inputs;
-        const auto rep = ctx.discrim().replay_for(inputs);
-        const ref_oracle::sequence_replay direct(ex.spec, inputs);
-        for (const auto& d : result.initial_diagnoses) {
-            std::vector<std::uint64_t> want;
-            for (const observation& o : direct.predict(d.to_override()))
-                want.push_back(pack_observation(o));
-            EXPECT_EQ(rep->predict(d.to_override()), want);
-        }
-        EXPECT_EQ(rep->expected(), observe(ex.spec, inputs));
-        EXPECT_EQ(rep.get(), ctx.discrim().replay_for(inputs).get());
+    const auto ex = paperex::make_paper_example();
+    const spec_context paper_ctx(ex.spec, transition_tour(ex.spec).suite);
+    simulated_iut paper_iut(ex.spec, ex.fault);
+    const auto result = diagnose(ex.spec, ex.suite, paper_iut);
+    const auto live = ref_oracle::live_set(result.initial_diagnoses);
+    ASSERT_GE(live.size(), 2u);
+    const proposed_test* test = paper_ctx.discrim().structured_test(live, {});
+    ASSERT_NE(test, nullptr);
+    const auto& inputs = test->tc.inputs;
+    const auto rep = paper_ctx.discrim().replay_for(inputs);
+    const ref_oracle::sequence_replay direct(ex.spec, inputs);
+    for (const auto& d : result.initial_diagnoses) {
+        std::vector<std::uint64_t> want;
+        for (const observation& o : direct.predict(d.to_override()))
+            want.push_back(pack_observation(o));
+        EXPECT_EQ(rep->predict(d.to_override()), want);
     }
+    EXPECT_EQ(rep->expected(), observe(ex.spec, inputs));
+    EXPECT_EQ(rep.get(), paper_ctx.discrim().replay_for(inputs).get());
 }
 
 /// Two machines whose spec chain throws: after `x`, `go` at A sends `msg`

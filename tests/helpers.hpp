@@ -71,4 +71,37 @@ inline std::string render(const system& sys,
     return join(cells, ", ");
 }
 
+/// `report` with its first symptomatic case quarantined, as
+/// collect_symptoms records an untrusted run.
+inline symptom_report quarantine_first_symptomatic(symptom_report report) {
+    const std::size_t ci = report.symptomatic_cases.front();
+    executed_case& run = report.runs[ci];
+    run.quarantined = true;
+    run.quarantine_reason = "no majority";
+    run.symptom_steps.clear();
+    run.first_symptom.reset();
+    run.symptom_transition.reset();
+    report.symptomatic_cases.erase(report.symptomatic_cases.begin());
+    report.quarantined_cases.push_back(ci);
+    return report;
+}
+
+/// Two machines that ping-pong m1/m2 forever once B reaches q1, which the
+/// spec never does: a transfer fault into q1 makes the next `go` exceed the
+/// internal hop budget.
+inline system make_ping_pong_system() {
+    symbol_table symbols;
+    fsm_builder a("A", symbols);
+    a.internal("a1", "s0", "go", "m1", "s0", machine_id{1});
+    a.internal("a2", "s0", "m2", "m1", "s0", machine_id{1});
+    fsm_builder b("B", symbols);
+    b.external("b1", "q0", "m1", "x", "q0");
+    b.external("b3", "q0", "p", "y", "q0");
+    b.internal("b2", "q1", "m1", "m2", "q1", machine_id{0});
+    std::vector<fsm> machines;
+    machines.push_back(a.build("s0"));
+    machines.push_back(b.build("q0"));
+    return system("ping_pong", std::move(symbols), std::move(machines));
+}
+
 }  // namespace cfsmdiag::testing_helpers

@@ -135,7 +135,7 @@ bool hypothesis_consistent(const system& spec, const test_suite& suite,
                            const symptom_report& report,
                            const transition_override& ov,
                            const replay_cache* cache) {
-    detail::note_hypothesis_replay();
+    detail::note_hypothesis_replays();
     detail::budget_poll();
     if (cache) return cache->consistent(ov);
     simulator sim(spec, ov);

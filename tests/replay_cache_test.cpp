@@ -9,13 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "cfsmdiag.hpp"
+#include "helpers.hpp"
 #include "reference_oracle.hpp"
 
 namespace cfsmdiag {
 namespace {
+
+using testing_helpers::make_ping_pong_system;
+using testing_helpers::quarantine_first_symptomatic;
 
 struct paper_fixture {
     paperex::paper_example ex;
@@ -127,26 +132,37 @@ std::string outcome(Check&& check) {
     }
 }
 
-/// flat_replayer with the context's fault dictionary against flat_replayer
-/// without it, on `report` and every hypothesis of the universe; with
-/// `oracle`, both against the uncached hypothesis_consistent too.
-/// Returns how many checks threw.
+/// The slots a flat_replayer with the context's fault dictionary flags on
+/// `report`, against a replay of every hypothesis of the universe: the
+/// flagged slots are askable, ascending and distinct, and every hypothesis
+/// whose slot is not flagged is refuted by its replay.  With `oracle`, the
+/// replay is held to the uncached hypothesis_consistent too.  Returns how
+/// many replays threw.
 std::size_t expect_dictionary_identity(const spec_context& ctx,
                                        const symptom_report& report,
                                        bool oracle) {
     const system& spec = ctx.spec();
     flat_replayer plain(ctx.compiled(), spec, report);
-    flat_replayer fast(ctx.compiled(), spec, report, ctx.dictionary());
+    const flat_replayer fast(ctx.compiled(), spec, report, ctx.dictionary());
+    const bool trusted = report.quarantined_cases.empty();
+    EXPECT_EQ(fast.flagged() != nullptr, trusted);
+    const std::vector<std::uint32_t> none;
+    const std::vector<std::uint32_t>& flagged =
+        fast.flagged() ? *fast.flagged() : none;
+    EXPECT_TRUE(std::adjacent_find(flagged.begin(), flagged.end(),
+                                   std::greater_equal<>()) == flagged.end());
+    std::vector<std::uint32_t> askable;
     std::size_t threw = 0;
     for (const auto& h : enumerate_all_faults(spec)) {
         const transition_override ov = h.to_override();
+        const std::uint32_t slot = slot_of(ctx.compiled(), h);
+        askable.push_back(slot);
         const std::string expected =
-            outcome([&] { return plain.consistent(ov); });
-        EXPECT_EQ(outcome([&] {
-                      return fast.consistent(ov, slot_of(ctx.compiled(), h));
-                  }),
-                  expected)
-            << describe(spec, h);
+            outcome([&] { return plain.matches(ov); });
+        if (trusted &&
+            !std::binary_search(flagged.begin(), flagged.end(), slot)) {
+            EXPECT_EQ(expected, "refuted") << describe(spec, h);
+        }
         if (oracle) {
             EXPECT_EQ(outcome([&] {
                           return ref_oracle::hypothesis_consistent(
@@ -157,40 +173,10 @@ std::size_t expect_dictionary_identity(const spec_context& ctx,
         }
         threw += expected.starts_with("threw");
     }
+    std::sort(askable.begin(), askable.end());
+    EXPECT_TRUE(std::includes(askable.begin(), askable.end(), flagged.begin(),
+                              flagged.end()));
     return threw;
-}
-
-/// `report` with its first symptomatic case quarantined, as
-/// collect_symptoms records an untrusted run.
-symptom_report quarantine_first_symptomatic(symptom_report report) {
-    const std::size_t ci = report.symptomatic_cases.front();
-    executed_case& run = report.runs[ci];
-    run.quarantined = true;
-    run.quarantine_reason = "no majority";
-    run.symptom_steps.clear();
-    run.first_symptom.reset();
-    run.symptom_transition.reset();
-    report.symptomatic_cases.erase(report.symptomatic_cases.begin());
-    report.quarantined_cases.push_back(ci);
-    return report;
-}
-
-/// Two machines that ping-pong m1/m2 forever once B reaches q1, which the
-/// spec never does: a transfer fault into q1 makes the next `go` exceed the
-/// internal hop budget.
-system make_ping_pong_system() {
-    symbol_table symbols;
-    fsm_builder a("A", symbols);
-    a.internal("a1", "s0", "go", "m1", "s0", machine_id{1});
-    a.internal("a2", "s0", "m2", "m1", "s0", machine_id{1});
-    fsm_builder b("B", symbols);
-    b.external("b1", "q0", "m1", "x", "q0");
-    b.external("b3", "q0", "p", "y", "q0");
-    b.internal("b2", "q1", "m1", "m2", "q1", machine_id{0});
-    std::vector<fsm> machines;
-    machines.push_back(a.build("s0"));
-    machines.push_back(b.build("q0"));
-    return system("ping_pong", std::move(symbols), std::move(machines));
 }
 
 TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
@@ -207,11 +193,11 @@ TEST(replay_cache, verdict_equals_legacy_for_every_enumerated_fault) {
         const bool uncached = ref_oracle::hypothesis_consistent(
             fx.ex.spec, fx.ex.suite, fx.report, ov, nullptr);
         EXPECT_EQ(cache.consistent(ov), uncached);
-        EXPECT_EQ(flat.consistent(ov), uncached);
+        EXPECT_EQ(flat.matches(ov), uncached);
     }
 
-    // The fault dictionary: flat_replayer refuting by signature must agree
-    // with flat_replayer replaying, on every report of a zoo model and of
+    // The fault dictionary: every hypothesis flat_replayer does not flag
+    // must be refuted by its replay, on every report of a zoo model and of
     // 20 random systems and every hypothesis of the universe; every 7th
     // report also against the uncached replay.  Then sampled reports of a
     // two-word system.
@@ -674,7 +660,7 @@ TEST(replay_cache, rejects_out_of_range_override) {
     bad.target = {machine_id{99}, transition_id{0}};
     bad.output = symbol{};
     EXPECT_THROW((void)cache.consistent(bad), error);
-    EXPECT_THROW((void)flat.consistent(bad), error);
+    EXPECT_THROW((void)flat.matches(bad), error);
     EXPECT_THROW((void)flat.consistent(std::vector{bad}), error);
     EXPECT_THROW((void)seq.predict(bad), error);
     EXPECT_THROW((void)step6.matches(bad), error);

@@ -77,7 +77,7 @@ cmake --build "${tsan_dir}" -j "${JOBS}" \
       property_test budget_test cfsmdiag_cli
 echo "=== [tsan] run ==="
 "${tsan_dir}/tests/campaign_engine_test"
-# The discrimination engine's sharded memo, its proposal cache and its
+# The discrimination engine's sharded memo, its applied-test cache and its
 # flat replays of Step 6's tests are shared across campaign workers — the
 # jobs-2 identity and counter-determinism tests are the racy surface.
 "${tsan_dir}/tests/discrim_engine_test"
@@ -100,6 +100,11 @@ echo "=== [tsan] run ==="
 # compiled tables and the dictionary fill are shared across workers too.
 "${tsan_dir}/tools/cfsmdiag" campaign examples/data/token_ring65.cfsm \
       --max-faults 200 --jobs 4 >/dev/null
+# Every fault of the ring under a step quota that starves some entries:
+# the workers share the dictionary's signature index and the engine's
+# applied-test cache while Step 5B charges its skipped hypotheses.
+"${tsan_dir}/tools/cfsmdiag" campaign examples/data/token_ring65.cfsm \
+      --jobs 4 --entry-steps 1000 >/dev/null
 
 # ASan+UBSan config: the resilience suite plus a short flaky campaign —
 # the injection/retry/quarantine paths throw and unwind constantly, which
@@ -111,9 +116,9 @@ cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [asan+ubsan] build resilience tests ==="
 cmake --build "${asan_dir}" -j "${JOBS}" \
       --target resilience_test checkpoint_test bitset_test property_test \
-      discrim_engine_test budget_test replay_cache_test packed_bfs_test \
-      multi_fault_test discriminate_test additional_tests_test \
-      domain_oracle_test cfsmdiag_cli fuzz_io
+      discrim_engine_test budget_test replay_cache_test step5b_test \
+      packed_bfs_test multi_fault_test discriminate_test \
+      additional_tests_test domain_oracle_test cfsmdiag_cli fuzz_io
 echo "=== [asan+ubsan] run ==="
 "${asan_dir}/tests/resilience_test"
 # The checkpoint layer's POSIX fd handling (spill truncate/append/fsync),
@@ -144,6 +149,11 @@ echo "=== [asan+ubsan] run ==="
 # multi-override check to the reference replay on one- and two-word
 # systems: both index packed states and firing lists arithmetically.
 "${asan_dir}/tests/replay_cache_test"
+# Step 5B's walk computes each flagged slot's row, column and hypothesis
+# number arithmetically and reads the dictionary's signature index through
+# a cursor; its identity test holds it to the oracle on every report of
+# one- and two-word systems, and under every step quota on one report each.
+"${asan_dir}/tests/step5b_test"
 # Step 6 and the multi-fault extension through the flat replays: the
 # tracker, the proposals, the oracle-answer checks, multi-fault diagnosis,
 # and the fault-domain oracle over every fault of the models it covers.
