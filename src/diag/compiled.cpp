@@ -109,45 +109,6 @@ std::uint64_t suite_signature(const compiled_spec& cs, const system& spec,
     return sig;
 }
 
-/// Fills the class representatives and the firing index of `ct` from its
-/// inputs, packed before-states and per-step fired lists.
-void index_case(compiled_spec::case_tables& ct, std::uint32_t total,
-                std::size_t w) {
-    const std::size_t n = ct.in_port.size();
-    ct.rep.reserve(n);
-    ct.first_fire.assign(total, invalid_index);
-    std::vector<std::vector<std::uint32_t>> fires(total);
-    // Steps ordered by (input, packed before-state); a class's
-    // representative is the first step inserted.
-    const auto step_less = [&ct, w](std::uint32_t a, std::uint32_t b) {
-        if (ct.in_port[a] != ct.in_port[b]) return ct.in_port[a] < ct.in_port[b];
-        if (ct.in_sym[a] != ct.in_sym[b]) return ct.in_sym[a] < ct.in_sym[b];
-        const std::uint64_t* sa = ct.state_before.data() + a * w;
-        const std::uint64_t* sb = ct.state_before.data() + b * w;
-        return std::lexicographical_compare(sa, sa + w, sb, sb + w);
-    };
-    std::set<std::uint32_t, decltype(step_less)> classes(step_less);
-    for (std::uint32_t k = 0; k < n; ++k) {
-        ct.rep.push_back(*classes.insert(k).first);
-        for (std::uint32_t i = ct.step_off[k]; i < ct.step_off[k + 1]; ++i) {
-            const std::uint32_t d = ct.step_fired[i];
-            auto& steps = fires[d];
-            // A chain step may fire the same transition more than once;
-            // record the step once.
-            if (!steps.empty() && steps.back() == k) continue;
-            steps.push_back(k);
-            if (ct.first_fire[d] == invalid_index) ct.first_fire[d] = k;
-        }
-    }
-    ct.fire_off.reserve(total + 1);
-    for (std::uint32_t d = 0; d < total; ++d) {
-        ct.fire_off.push_back(static_cast<std::uint32_t>(ct.fire_steps.size()));
-        ct.fire_steps.insert(ct.fire_steps.end(), fires[d].begin(),
-                             fires[d].end());
-    }
-    ct.fire_off.push_back(static_cast<std::uint32_t>(ct.fire_steps.size()));
-}
-
 template <std::size_t W>
 fault_dictionary fill_fault_dictionary(const compiled_spec& cs,
                                        const system& spec) {
@@ -752,11 +713,11 @@ std::vector<std::uint64_t> flat_sequence::predict(
     return out;
 }
 
-// packed_bfs's stepper.  packed_bfs itself lives in a file of its own:
-// with it in this translation unit, GCC compiled the replayer's hot loops
-// differently (and perfbench's one_shot read a slower fault_p50), while with
-// only these two instantiations added at the end, every other function here
-// compiles to the same instructions as without them.
+// The hooked steppers of packed_bfs and of the column probe.  Their callers
+// live in files of their own (packed_bfs.cpp, column_probe.cpp): code
+// added to this translation unit changes how GCC compiles the replayer's
+// hot loops, and with packed_bfs here perfbench's one_shot read a slower
+// fault_p50.
 
 void fire_list::operator()(std::uint32_t d) const {
     out->push_back(d);
@@ -778,5 +739,22 @@ template std::uint64_t flat_step<runtime_words, fire_list>(
     const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
     std::uint32_t, const flat_override*, std::size_t, bool*, bool*,
     fire_list);
+
+void owner_message_watch::operator()(std::uint32_t d) const noexcept {
+    if (d == ov->target) *target_fired = true;
+    if (!*target_fired || !cs->is_internal[d]) return;
+    const std::uint32_t to =
+        d == ov->target && ov->dest != invalid_index ? ov->dest : cs->dest[d];
+    if (to == cs->owner[ov->target]) *owner_messaged = true;
+}
+
+template std::uint64_t flat_step<1, owner_message_watch>(
+    const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
+    std::uint32_t, const flat_override*, std::size_t, bool*, bool*,
+    owner_message_watch);
+template std::uint64_t flat_step<runtime_words, owner_message_watch>(
+    const compiled_spec&, const system&, std::uint64_t*, std::uint32_t,
+    std::uint32_t, const flat_override*, std::size_t, bool*, bool*,
+    owner_message_watch);
 
 }  // namespace cfsmdiag

@@ -217,6 +217,14 @@ inline constexpr std::size_t runtime_words = 0;
                                          const test_suite& suite,
                                          const suite_traces& traces);
 
+/// Fills `ct`'s class representatives (`rep`) and firing index
+/// (`first_fire`, `fire_off`, `fire_steps`) from its inputs, its packed
+/// before-states (`w` words each) and its per-step fired lists, over a
+/// universe of `total` dense ids.  One sort of the steps and two counting
+/// passes; no allocation per class or per transition.
+void index_case(compiled_spec::case_tables& ct, std::uint32_t total,
+                std::size_t w);
+
 /// A transition_override lowered to dense ids; invalid_index fields keep
 /// the specified effect.  Shared by the flat replayer (Step 5B) and the
 /// discrimination engine's joint stepper (Step 6).
@@ -282,6 +290,19 @@ struct fire_list {
     std::vector<std::uint32_t>* out;
 
     void operator()(std::uint32_t d) const;
+};
+
+/// flat_replayer::refutes_column's flat_step hook: once the override's
+/// target has fired, sets `*owner_messaged` when a fired internal
+/// transition sends its message to the target's machine, the one machine
+/// whose state differs between the hypotheses of a column.
+struct owner_message_watch {
+    const compiled_spec* cs;
+    const flat_override* ov;
+    bool* target_fired;
+    bool* owner_messaged;
+
+    void operator()(std::uint32_t d) const noexcept;
 };
 
 /// The BFS kernel of the spec's own global searches: the transition
@@ -475,6 +496,17 @@ class flat_replayer {
         return replay(ov);
     }
 
+    /// Step 5B's column probe: true when every hypothesis that differs
+    /// from `ov` only in its next state is refuted by a check its replay
+    /// makes before its first step, or by that step: the target's first
+    /// firing in the first trusted case where it fires no later than the
+    /// case's first symptom.  That step is taken once, with `ov`'s next
+    /// state, and decides nothing (false) when it throws or when, after
+    /// the target fires, its chain sends a message to the target's
+    /// machine.  Counts no hypothesis replay, case skip or suffix replay
+    /// and polls no budget: its step shows in simulated_steps() only.
+    [[nodiscard]] bool refutes_column(const transition_override& ov);
+
     /// Whether spec ⊕ all of `ovs` (distinct targets) reproduces the
     /// observations: the multi-fault extension's check, where the prefix
     /// lemma holds up to the earliest first firing of any target.  Counts
@@ -498,6 +530,8 @@ class flat_replayer {
     [[nodiscard]] bool suffix_consistent(std::size_t ci, std::uint32_t f,
                                          const flat_override* ovs,
                                          std::size_t count);
+    template <std::size_t W>
+    [[nodiscard]] bool refutes_column(const flat_override& ov);
     /// Sizes the suffix memo for cases of up to `max_len` steps.
     void size_scratch(std::size_t max_len);
 

@@ -92,17 +92,24 @@ step6_case classify_step6(const diagnostic_candidates& dc) {
 
 namespace {
 
-// --- Step 5B's walk -------------------------------------------------------
+// --- Step 5B's walks ------------------------------------------------------
 // The paper's findendingstates, calouts, processtate&out and the
 // addressing extension's destinations enumerate each candidate's
 // hypotheses in a fixed order (ascending states, pool order, ascending
-// machines).  The walk numbers them in that order, across every candidate
-// of one pass, and replays only the flagged ones (flat_replayer::flagged)
-// and those without a dictionary slot: any other hypothesis predicts the
-// suite with a signature other than the report's, so it is inconsistent.
-// Every number is charged one hypothesis replay and one budget poll, so a
-// pass counts, polls and throws exactly as a replay of every hypothesis
-// would (DESIGN.md §5i).
+// machines).  A walk numbers them in that order, across every candidate of
+// one pass, and charges every number one hypothesis replay and one budget
+// poll, so a pass counts, polls and throws exactly as a replay of every
+// hypothesis would (DESIGN.md §5i).  It replays only the hypotheses that
+// can be consistent:
+//   - flagged_walk, with a fault dictionary: the flagged ones
+//     (flat_replayer::flagged) and those without a dictionary slot; any
+//     other hypothesis predicts the suite with a signature other than the
+//     report's;
+//   - every_walk, without one (or on a report with a quarantined case):
+//     every hypothesis, less the columns of next states that one probe
+//     step refutes (flat_replayer::refutes_column).
+// Each pass is compiled once per walk, so the dictionary's walk carries
+// none of the probe's bookkeeping.
 
 /// One class of a candidate's hypotheses as a grid of rows (states, or a
 /// single row) by columns (outputs or destinations), numbered row-major
@@ -123,28 +130,69 @@ struct hypothesis_grid {
     }
 };
 
-class hypothesis_walk {
+/// The numbering and charging both walks share.
+class walk_charges {
   public:
-    explicit hypothesis_walk(flat_replayer& rep) : rep_(&rep) {
-        if (const std::vector<std::uint32_t>* f = rep.flagged()) {
-            every_ = false;
-            cursor_ = f->data();
-            end_ = f->data() + f->size();
-        }
+    explicit walk_charges(flat_replayer& rep) : rep_(&rep) {}
+
+    /// Charges the hypotheses after the last replayed one: the end of the
+    /// pass.
+    void finish() {
+        charge(first_ - charged_);
+        charged_ = first_;
     }
 
+  protected:
+    /// Charges hypothesis (r, c) of `g` and the uncharged ones before it,
+    /// then replays it; make(r, c) is its override and keep(r, c) takes it
+    /// when it is consistent.
+    template <typename Make, typename Keep>
+    void visit(const hypothesis_grid& g, std::uint32_t r, std::uint32_t c,
+               Make& make, Keep& keep) {
+        const std::uint64_t n =
+            first_ + std::uint64_t{r - (r > g.skip_row ? 1u : 0u)} * g.cols +
+            c;
+        charge(n + 1 - charged_);
+        charged_ = n + 1;
+        if (rep_->matches(make(r, c))) keep(r, c);
+    }
+
+    /// `n` hypotheses' replays and budget polls.  Polled one at a time, the
+    /// first poll past the step quota would throw after counting its
+    /// hypothesis; charge(n) throws exactly when that poll is among the n.
+    /// One hypothesis is polled, as the per-hypothesis loop polled it.
+    static void charge(std::uint64_t n) {
+        if (n == 0) return;
+        const run_budget* b = detail::current_budget();
+        if (!b || n == 1) {
+            detail::note_hypothesis_replays(n);
+            if (b) b->poll();
+            return;
+        }
+        const std::uint64_t left = b->polls_left();
+        detail::note_hypothesis_replays(n > left ? left + 1 : n);
+        b->charge(n);
+    }
+
+    flat_replayer* rep_;
+    std::uint64_t first_ = 0;    ///< the current grid's first number
+    std::uint64_t charged_ = 0;  ///< hypotheses charged so far
+};
+
+/// The walk of a report the dictionary flags.
+class flagged_walk : public walk_charges {
+  public:
+    flagged_walk(flat_replayer& rep, const std::vector<std::uint32_t>& flagged)
+        : walk_charges(rep),
+          cursor_(flagged.data()),
+          end_(flagged.data() + flagged.size()) {}
+
     /// Replays grid `g`'s flagged and slot-less hypotheses in order, and
-    /// charges those before each; make(r, c) is hypothesis (r, c)'s
-    /// override and keep(r, c) takes it when it is consistent.
+    /// charges those before each.
     template <typename Make, typename Keep>
     void walk(const hypothesis_grid& g, Make make, Keep keep) {
         const auto visit = [&](std::uint32_t r, std::uint32_t c) {
-            const std::uint64_t n =
-                first_ + std::uint64_t{r - (r > g.skip_row ? 1u : 0u)} *
-                             g.cols + c;
-            charge(n + 1 - charged_);
-            charged_ = n + 1;
-            if (rep_->matches(make(r, c))) keep(r, c);
+            walk_charges::visit(g, r, c, make, keep);
         };
         // The slot-less columns of the rows before `row`, those of `pending`
         // on: they follow their row's slots.
@@ -181,50 +229,54 @@ class hypothesis_walk {
         first_ += g.size();
     }
 
-    /// Charges the hypotheses after the last replayed one: the end of the
-    /// pass.
-    void finish() {
-        charge(first_ - charged_);
-        charged_ = first_;
-    }
-
   private:
     /// The least flagged slot >= `slot`, or invalid_index.  The walk asks
     /// in ascending order, so the cursor only moves forward.
     std::uint32_t next_flagged(std::uint32_t slot) {
-        if (every_) return slot;
         if (cursor_ != end_ && *cursor_ < slot)
             cursor_ = std::lower_bound(cursor_ + 1, end_, slot);
         return cursor_ == end_ ? invalid_index : *cursor_;
     }
 
-    /// `n` hypotheses' replays and budget polls.  Polled one at a time, the
-    /// first poll past the step quota would throw after counting its
-    /// hypothesis; charge(n) throws exactly when that poll is among the n.
-    /// One hypothesis is polled, as the per-hypothesis loop polled it.
-    static void charge(std::uint64_t n) {
-        if (n == 0) return;
-        const run_budget* b = detail::current_budget();
-        if (!b || n == 1) {
-            detail::note_hypothesis_replays(n);
-            if (b) b->poll();
-            return;
+    const std::uint32_t* cursor_;
+    const std::uint32_t* end_;
+};
+
+/// The walk of a report that flags every hypothesis.
+class every_walk : public walk_charges {
+  public:
+    using walk_charges::walk_charges;
+
+    /// Replays grid `g`'s hypotheses in order, and charges those before
+    /// each.  When `g` names two next states or more, its rows share each
+    /// column's checks up to the target's first firing, so each column is
+    /// probed once and the rows replay only the columns the probe leaves.
+    template <typename Make, typename Keep>
+    void walk(const hypothesis_grid& g, Make make, Keep keep) {
+        const bool probed = g.size() > g.cols;
+        if (probed) {
+            const std::uint32_t row = g.skip_row == 0 ? 1 : 0;
+            refuted_.resize(g.cols);
+            for (std::uint32_t c = 0; c < g.cols; ++c)
+                refuted_[c] = rep_->refutes_column(make(row, c));
         }
-        const std::uint64_t left = b->polls_left();
-        detail::note_hypothesis_replays(n > left ? left + 1 : n);
-        b->charge(n);
+        for (std::uint32_t r = 0; r < g.rows; ++r) {
+            if (r == g.skip_row) continue;
+            for (std::uint32_t c = 0; c < g.cols; ++c) {
+                if (!probed || !refuted_[c]) visit(g, r, c, make, keep);
+            }
+        }
+        first_ += g.size();
     }
 
-    flat_replayer* rep_;
-    bool every_ = true;
-    const std::uint32_t* cursor_ = nullptr;
-    const std::uint32_t* end_ = nullptr;
-    std::uint64_t first_ = 0;    ///< the current grid's first number
-    std::uint64_t charged_ = 0;  ///< hypotheses charged so far
+  private:
+    /// The probe's verdict per column of the current grid.
+    std::vector<std::uint8_t> refuted_;
 };
 
 /// findendingstates: T transfers to each state other than NextState(T).
-void walk_end_states(hypothesis_walk& walk, const compiled_spec& cs,
+template <class Walk>
+void walk_end_states(Walk& walk, const compiled_spec& cs,
                      evaluated_candidate& c) {
     const std::uint32_t d = cs.dense_id(c.id);
     const hypothesis_grid g{.rows = cs.state_count[c.id.machine.value],
@@ -246,9 +298,10 @@ void walk_end_states(hypothesis_walk& walk, const compiled_spec& cs,
 /// calouts over `outs`, whose first `slotted` entries are d's compiled pool
 /// entries from `j0` on.  No entry is the specified output
 /// (admissible_faulty_outputs leaves it out).
-void walk_outputs(hypothesis_walk& walk, const compiled_spec& cs,
-                  evaluated_candidate& c, std::span<const symbol> outs,
-                  std::uint32_t j0, std::uint32_t slotted) {
+template <class Walk>
+void walk_outputs(Walk& walk, const compiled_spec& cs, evaluated_candidate& c,
+                  std::span<const symbol> outs, std::uint32_t j0,
+                  std::uint32_t slotted) {
     const std::uint32_t d = cs.dense_id(c.id);
     const hypothesis_grid g{.cols = static_cast<std::uint32_t>(outs.size()),
                             .slotted = slotted,
@@ -264,9 +317,10 @@ void walk_outputs(hypothesis_walk& walk, const compiled_spec& cs,
 
 /// processtate&out: each state other than NextState(T) with each of
 /// `outs`, as walk_outputs has them.
-void walk_statout(hypothesis_walk& walk, const compiled_spec& cs,
-                  evaluated_candidate& c, std::span<const symbol> outs,
-                  std::uint32_t j0, std::uint32_t slotted) {
+template <class Walk>
+void walk_statout(Walk& walk, const compiled_spec& cs, evaluated_candidate& c,
+                  std::span<const symbol> outs, std::uint32_t j0,
+                  std::uint32_t slotted) {
     const std::uint32_t d = cs.dense_id(c.id);
     const hypothesis_grid g{
         .rows = cs.state_count[c.id.machine.value],
@@ -287,7 +341,8 @@ void walk_statout(hypothesis_walk& walk, const compiled_spec& cs,
 
 /// The addressing extension: an internal-output T sends to each machine
 /// other than its own and its specified receiver.  No slots.
-void walk_destinations(hypothesis_walk& walk, const compiled_spec& cs,
+template <class Walk>
+void walk_destinations(Walk& walk, const compiled_spec& cs,
                        evaluated_candidate& c) {
     const std::uint32_t d = cs.dense_id(c.id);
     if (!cs.is_internal[d]) return;
@@ -322,15 +377,13 @@ std::span<const symbol> pool_of(const compiled_spec& cs, std::uint32_t d) {
             cs.pool_offset[d + 1] - cs.pool_offset[d]};
 }
 
-}  // namespace
-
-diagnostic_candidates evaluate_candidates(const compiled_spec& cs,
-                                          flat_replayer& replayer,
-                                          const symptom_report& report,
-                                          const candidate_sets& cands) {
+/// evaluate_candidates on `walk`.
+template <class Walk>
+diagnostic_candidates routed_pass(const compiled_spec& cs, Walk& walk,
+                                  const symptom_report& report,
+                                  const candidate_sets& cands) {
     diagnostic_candidates dc;
     dc.evaluated.reserve(itc_size(cands));
-    hypothesis_walk walk(replayer);
     const std::uint32_t machines =
         static_cast<std::uint32_t>(cs.machine_offset.size()) - 1;
     for (std::uint32_t m = 0; m < machines; ++m) {
@@ -378,13 +431,14 @@ diagnostic_candidates evaluate_candidates(const compiled_spec& cs,
     return dc;
 }
 
-diagnostic_candidates evaluate_candidates_escalated(
-    const compiled_spec& cs, flat_replayer& replayer,
-    const symptom_report& report, const candidate_sets& cands,
-    bool include_addressing) {
+/// evaluate_candidates_escalated on `walk`.
+template <class Walk>
+diagnostic_candidates escalated_pass(const compiled_spec& cs, Walk& walk,
+                                     const symptom_report& report,
+                                     const candidate_sets& cands,
+                                     bool include_addressing) {
     diagnostic_candidates dc;
     dc.evaluated.reserve(itc_size(cands));
-    hypothesis_walk walk(replayer);
     const std::uint32_t machines =
         static_cast<std::uint32_t>(cs.machine_offset.size()) - 1;
     for (std::uint32_t m = 0; m < machines; ++m) {
@@ -419,6 +473,32 @@ diagnostic_candidates evaluate_candidates_escalated(
     walk.finish();
     select_survivors(dc);
     return dc;
+}
+
+}  // namespace
+
+diagnostic_candidates evaluate_candidates(const compiled_spec& cs,
+                                          flat_replayer& replayer,
+                                          const symptom_report& report,
+                                          const candidate_sets& cands) {
+    if (const std::vector<std::uint32_t>* flagged = replayer.flagged()) {
+        flagged_walk walk(replayer, *flagged);
+        return routed_pass(cs, walk, report, cands);
+    }
+    every_walk walk(replayer);
+    return routed_pass(cs, walk, report, cands);
+}
+
+diagnostic_candidates evaluate_candidates_escalated(
+    const compiled_spec& cs, flat_replayer& replayer,
+    const symptom_report& report, const candidate_sets& cands,
+    bool include_addressing) {
+    if (const std::vector<std::uint32_t>* flagged = replayer.flagged()) {
+        flagged_walk walk(replayer, *flagged);
+        return escalated_pass(cs, walk, report, cands, include_addressing);
+    }
+    every_walk walk(replayer);
+    return escalated_pass(cs, walk, report, cands, include_addressing);
 }
 
 }  // namespace cfsmdiag

@@ -64,11 +64,13 @@ struct diagnostic_candidates {
 
 /// Steps 5B + 5C with the paper's flag routing, on `replayer` (built over
 /// the same report), with the admissible pools precomputed in `cs`.  The
-/// hypotheses are walked in the paper's enumeration order; those the
-/// replayer flags, and those without a dictionary slot, are replayed, and
-/// the rest are charged without a replay, so hypothesis_replays(), budget
-/// polls and verdicts are those of a replay of every hypothesis
-/// (DESIGN.md §5i).
+/// hypotheses are walked in the paper's enumeration order.  Those the
+/// replayer flags, and those without a dictionary slot, are replayed; when
+/// it flags every hypothesis, each column of next states is first probed
+/// once (flat_replayer::refutes_column), and the rows of the columns the
+/// probe refutes are not replayed.  The rest are charged without a replay,
+/// so hypothesis_replays(), budget polls and verdicts are those of a
+/// replay of every hypothesis (DESIGN.md §5i).
 [[nodiscard]] diagnostic_candidates evaluate_candidates(
     const compiled_spec& cs, flat_replayer& replayer,
     const symptom_report& report, const candidate_sets& cands);

@@ -296,6 +296,25 @@ TEST(domain_oracle, random_systems_seeds_1_to_100) {
     }
 }
 
+TEST(domain_oracle, random_systems_with_random_walk_suites) {
+    // Two or three random walks instead of a tour: a weaker suite leaves
+    // more faults undetected and more hypotheses explaining a run.  The
+    // diagnoses run on a context without a dictionary, so Step 5B probes
+    // each column of next states and replays what the probes leave.
+    std::size_t checked = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        rng random(seed);
+        const system spec = random_system({}, random);
+        rng walk(seed + 2000);
+        const test_suite suite = random_walk_suite(
+            spec, walk, {.cases = 2 + seed % 2, .steps_per_case = 12});
+        checked += check_system(spec, suite);
+        if (HasFailure()) break;
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 TEST(domain_oracle, addressing_faults) {
     // The addressing hypotheses have no dictionary slot: Step 5B replays
     // each of them.  The domain and the IUTs include the addressing faults.

@@ -104,4 +104,37 @@ inline system make_ping_pong_system() {
     return system("ping_pong", std::move(symbols), std::move(machines));
 }
 
+/// token_ring(64)'s shape, except that the last station has a third state
+/// (it can hold the token): its two-bit field would take bits 63 and 64, so
+/// it opens the second word instead.  One token keeps the reachable global
+/// states few, as on the ring.
+inline system make_straddling_ring() {
+    constexpr std::size_t n = 64;
+    symbol_table symbols;
+    const auto tok = [](std::size_t from, std::size_t to) {
+        return "tok" + std::to_string(from) + "_" + std::to_string(to);
+    };
+    std::vector<fsm> machines;
+    for (std::size_t i = 1; i <= n; ++i) {
+        const std::size_t next = i % n + 1;
+        const std::size_t prev = (i + n - 2) % n + 1;
+        const std::string name = "St" + std::to_string(i);
+        fsm_builder b(name, symbols);
+        b.external("recv_" + name, "idle", tok(prev, i), "got", "has");
+        b.internal("pass_" + name, "has", "pass", tok(i, next), "idle",
+                   machine_id{static_cast<std::uint32_t>(next - 1)});
+        b.external("qi_" + name, "idle", "query", "no", "idle");
+        b.external("qh_" + name, "has", "query", "yes", "has");
+        if (i == 1)
+            b.external("inject1", "idle", "inject", "created", "has");
+        if (i == n) {
+            b.external("hold_" + name, "has", "hold", "held", "busy");
+            b.external("free_" + name, "busy", "hold", "freed", "has");
+            b.external("qb_" + name, "busy", "query", "busy", "busy");
+        }
+        machines.push_back(b.build("idle"));
+    }
+    return system("straddling_ring", std::move(symbols), std::move(machines));
+}
+
 }  // namespace cfsmdiag::testing_helpers

@@ -18,6 +18,7 @@ namespace cfsmdiag {
 namespace {
 
 using testing_helpers::make_pair_system;
+using testing_helpers::make_straddling_ring;
 
 struct sweep_config {
     std::string name;
@@ -279,39 +280,6 @@ void expect_packing_matches_traces(const spec_context& ctx) {
     }
 }
 
-/// token_ring(64)'s shape, except that the last station has a third state
-/// (it can hold the token): its two-bit field would take bits 63 and 64, so
-/// it opens the second word instead.  One token keeps the reachable global
-/// states few, as on the ring.
-system make_straddling_ring() {
-    constexpr std::size_t n = 64;
-    symbol_table symbols;
-    const auto tok = [](std::size_t from, std::size_t to) {
-        return "tok" + std::to_string(from) + "_" + std::to_string(to);
-    };
-    std::vector<fsm> machines;
-    for (std::size_t i = 1; i <= n; ++i) {
-        const std::size_t next = i % n + 1;
-        const std::size_t prev = (i + n - 2) % n + 1;
-        const std::string name = "St" + std::to_string(i);
-        fsm_builder b(name, symbols);
-        b.external("recv_" + name, "idle", tok(prev, i), "got", "has");
-        b.internal("pass_" + name, "has", "pass", tok(i, next), "idle",
-                   machine_id{static_cast<std::uint32_t>(next - 1)});
-        b.external("qi_" + name, "idle", "query", "no", "idle");
-        b.external("qh_" + name, "has", "query", "yes", "has");
-        if (i == 1)
-            b.external("inject1", "idle", "inject", "created", "has");
-        if (i == n) {
-            b.external("hold_" + name, "has", "hold", "held", "busy");
-            b.external("free_" + name, "busy", "hold", "freed", "has");
-            b.external("qb_" + name, "busy", "query", "busy", "busy");
-        }
-        machines.push_back(b.build("idle"));
-    }
-    return system("straddling_ring", std::move(symbols), std::move(machines));
-}
-
 TEST(compiled_core, packing_at_the_word_boundary) {
     // 64 one-bit stations fill one word; the 65th opens a second.
     for (const std::size_t n : {std::size_t{64}, std::size_t{65}}) {
@@ -374,6 +342,155 @@ TEST(compiled_core, every_system_packs) {
         const spec_context ctx(ring, transition_tour(ring).suite);
         EXPECT_TRUE(ctx.compiled().packable) << "token_ring " << n;
         EXPECT_EQ(ctx.compiled().words, 2u);
+    }
+}
+
+// --- the per-case index ------------------------------------------------------
+
+/// Holds `ct`'s class representatives and firing index to a naive
+/// recomputation: a step's representative is the earliest step with the
+/// same input and packed before-state, and a transition's firing steps are
+/// the steps whose fired list names it, each once.  Adds to `shared` the
+/// steps whose representative is an earlier step.
+void expect_index_matches_naive(const compiled_spec::case_tables& ct,
+                                std::uint32_t total, std::size_t w,
+                                std::size_t& shared) {
+    const std::size_t n = ct.in_port.size();
+    const auto before = [&](std::size_t k) {
+        return ct.state_before.data() + k * w;
+    };
+    ASSERT_EQ(ct.rep.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t rep = k;
+        for (std::size_t j = 0; j < k; ++j) {
+            if (ct.in_port[j] == ct.in_port[k] &&
+                ct.in_sym[j] == ct.in_sym[k] &&
+                std::equal(before(j), before(j) + w, before(k))) {
+                rep = j;
+                break;
+            }
+        }
+        ASSERT_EQ(ct.rep[k], rep) << "step " << k;
+        shared += rep != k;
+    }
+    ASSERT_EQ(ct.first_fire.size(), total);
+    ASSERT_EQ(ct.fire_off.size(), std::size_t{total} + 1);
+    EXPECT_EQ(ct.fire_off.back(), ct.fire_steps.size());
+    for (std::uint32_t d = 0; d < total; ++d) {
+        std::vector<std::uint32_t> steps;
+        for (std::uint32_t k = 0; k < n; ++k) {
+            const auto fired = ct.step_fired.begin() + ct.step_off[k];
+            const auto fired_end = ct.step_fired.begin() + ct.step_off[k + 1];
+            if (std::find(fired, fired_end, d) != fired_end)
+                steps.push_back(k);
+        }
+        const std::vector<std::uint32_t> got(
+            ct.fire_steps.begin() + ct.fire_off[d],
+            ct.fire_steps.begin() + ct.fire_off[d + 1]);
+        ASSERT_EQ(got, steps) << "transition " << d;
+        EXPECT_EQ(ct.first_fire[d],
+                  steps.empty() ? invalid_index : steps.front());
+    }
+}
+
+/// Every case of `ctx`'s compiled suite, and a flat_sequence over each
+/// case's inputs (Step 6's index of one sequence).  Returns the steps whose
+/// representative is an earlier step.
+std::size_t expect_indexes_match_naive(const spec_context& ctx) {
+    const compiled_spec& cs = ctx.compiled();
+    std::size_t shared = 0;
+    for (std::size_t ci = 0; ci < cs.cases.size(); ++ci) {
+        SCOPED_TRACE("case " + std::to_string(ci));
+        expect_index_matches_naive(cs.cases[ci], cs.total, cs.words, shared);
+        const flat_sequence seq(cs, ctx.spec(), ctx.suite().cases[ci].inputs);
+        expect_index_matches_naive(seq.tables(), cs.total, cs.words, shared);
+    }
+    return shared;
+}
+
+/// An unvalidated system whose chain fires one transition twice: m at A
+/// fires `am`, B's `first` sends m back, `am` fires again, and B's `second`
+/// answers at B's port.
+system make_double_firing_system() {
+    symbol_table symbols;
+    fsm_builder a("A", symbols);
+    a.internal("am", "s0", "m", "m", "s0", machine_id{1});
+    fsm_builder b("B", symbols);
+    b.internal("first", "q0", "m", "m", "q1", machine_id{0});
+    b.external("second", "q1", "m", "done", "q0");
+    std::vector<fsm> machines;
+    machines.push_back(a.build("s0"));
+    machines.push_back(b.build("q0"));
+    return system("double_firing", std::move(symbols), std::move(machines));
+}
+
+TEST(compiled_core, case_index_matches_a_naive_recomputation) {
+    // One word: Figure 1 (Table 1's cases and its tour) and sliding_window(4)
+    // with random walks, whose repeated (state, input) classes share a
+    // representative.
+    const auto ex = paperex::make_paper_example();
+    expect_indexes_match_naive(spec_context(ex.spec, ex.suite));
+    expect_indexes_match_naive(
+        spec_context(ex.spec, transition_tour(ex.spec).suite));
+    const system window = models::sliding_window(4);
+    rng window_walk(11);
+    test_suite window_suite = transition_tour(window).suite;
+    window_suite.extend(random_walk_suite(
+        window, window_walk, {.cases = 3, .steps_per_case = 40}));
+    EXPECT_GT(expect_indexes_match_naive(spec_context(window, window_suite)),
+              0u);
+
+    // Random systems with random-walk suites only.
+    std::size_t shared = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        rng random(seed);
+        const system sys = random_system({}, random);
+        rng walk(seed + 1000);
+        shared += expect_indexes_match_naive(spec_context(
+            sys, random_walk_suite(sys, walk,
+                                   {.cases = 3, .steps_per_case = 30})));
+    }
+    EXPECT_GT(shared, 0u);
+
+    // A step that fires one transition twice lists its step once.
+    const system twice = make_double_firing_system();
+    test_suite twice_suite;
+    twice_suite.add(test_case::from_inputs(
+        "t1", {global_input::at(machine_id{0}, twice.symbols().lookup("m")),
+               global_input::at(machine_id{0}, twice.symbols().lookup("m"))}));
+    const spec_context twice_ctx(twice, twice_suite);
+    const compiled_spec::case_tables& ct = twice_ctx.compiled().cases[0];
+    ASSERT_EQ(std::count(ct.step_fired.begin(), ct.step_fired.end(), 0u), 4);
+    EXPECT_EQ(expect_indexes_match_naive(twice_ctx), 2u);
+
+    // Two words: token_ring(65)'s tour, the straddling ring with random
+    // walks, and wide random systems with random walks.
+    const system ring = models::token_ring(65);
+    const spec_context ring_ctx(ring, transition_tour(ring).suite);
+    ASSERT_EQ(ring_ctx.compiled().words, 2u);
+    expect_indexes_match_naive(ring_ctx);
+    const system straddling = make_straddling_ring();
+    rng straddling_walk(5);
+    const spec_context straddling_ctx(
+        straddling, random_walk_suite(straddling, straddling_walk,
+                                      {.cases = 2, .steps_per_case = 60}));
+    ASSERT_EQ(straddling_ctx.compiled().words, 2u);
+    expect_indexes_match_naive(straddling_ctx);
+    for (const std::uint64_t seed : {3u, 4u}) {
+        SCOPED_TRACE("wide seed " + std::to_string(seed));
+        rng random(seed);
+        random_system_options opts;
+        opts.machines = seed % 2 == 1 ? 22 : 17;
+        opts.states_per_machine = seed % 2 == 1 ? 8 : 16;
+        opts.extra_transitions = 3;
+        const system sys = random_system(opts, random);
+        rng walk(seed + 1000);
+        const spec_context ctx(
+            sys, random_walk_suite(sys, walk,
+                                   {.cases = 2, .steps_per_case = 40}));
+        ASSERT_EQ(ctx.compiled().words, 2u);
+        expect_indexes_match_naive(ctx);
     }
 }
 
